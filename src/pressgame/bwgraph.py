@@ -246,12 +246,21 @@ def parse_graph(text: str) -> BWGraph:
     return BWGraph(n, colors, tuple(adj))
 
 
+def parse_linear_shorthand(text: str) -> BWGraph | None:
+    """The path graph named by `linear:BWBW...`, or None for other text.
+
+    The prefix is case-insensitive and surrounding whitespace is ignored.
+    """
+    stripped = text.strip()
+    if not stripped.lower().startswith(LINEAR_PREFIX):
+        return None
+    return linear_graph(stripped[len(LINEAR_PREFIX):])
+
+
 def parse_graph_source(text: str) -> BWGraph:
     """Parse either the graph text format or the `linear:BWBW...` shorthand."""
-    stripped = text.strip()
-    if stripped.lower().startswith(LINEAR_PREFIX):
-        return linear_graph(stripped[len(LINEAR_PREFIX):])
-    return parse_graph(text)
+    g = parse_linear_shorthand(text)
+    return parse_graph(text) if g is None else g
 
 
 def format_graph(g: BWGraph) -> str:

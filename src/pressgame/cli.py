@@ -17,16 +17,16 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 
 from . import __version__
 from .bwgraph import (
     BWGraph,
-    LINEAR_PREFIX,
     apply_path,
     format_graph,
     graph_to_dot,
-    linear_graph,
     parse_graph,
+    parse_linear_shorthand,
 )
 from .errors import GameError
 from .meta import (
@@ -51,11 +51,12 @@ _VERDICT_EXIT = {"PASS": 0, "FAIL": 1, "INCOMPLETE": 2}
 
 
 def load_graph(source: str) -> BWGraph:
-    """Graph from a file path or the linear:BWBW... shorthand."""
-    if source.startswith(LINEAR_PREFIX):
-        return linear_graph(source[len(LINEAR_PREFIX):])
-    with open(source) as fh:
-        return parse_graph(fh.read())
+    """Graph from the linear:BWBW... shorthand or a file path."""
+    g = parse_linear_shorthand(source)
+    if g is None:
+        with open(source) as fh:
+            g = parse_graph(fh.read())
+    return g
 
 
 def write_report(report: dict, path: str) -> None:
@@ -241,60 +242,58 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--report", metavar="FILE")
+    add_parser = partial(sub.add_parser, parents=[common])
 
-    p = sub.add_parser("press", help="press vertices in order, print the result")
+    p = add_parser("press", help="press vertices in order, print the result")
     p.add_argument("graph")
     p.add_argument("vertices", nargs="+", type=int)
     p.set_defaults(handler=cmd_press)
 
-    p = sub.add_parser("overlap", help="overlap graph of a signed permutation")
+    p = add_parser("overlap", help="overlap graph of a signed permutation")
     p.add_argument("perm")
     p.add_argument("--dot", metavar="FILE")
     p.set_defaults(handler=cmd_overlap)
 
-    p = sub.add_parser("distance", help="hurdle-free reversal distance")
+    p = add_parser("distance", help="hurdle-free reversal distance")
     p.add_argument("perm")
     p.set_defaults(handler=cmd_distance)
 
-    p = sub.add_parser("enumerate", help="every successful pressing path")
+    p = add_parser("enumerate", help="every successful pressing path")
     p.add_argument("graph")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--report", metavar="FILE")
     p.set_defaults(handler=cmd_enumerate)
 
-    p = sub.add_parser(
+    p = add_parser(
         "metagraph",
         help="LCS-gated graph over the successful paths (exit 1 if disconnected)",
     )
     p.add_argument("graph")
     p.add_argument("--threshold", type=int, required=True)
     p.add_argument("--dot", metavar="FILE")
-    p.add_argument("--report", metavar="FILE")
     p.set_defaults(handler=cmd_metagraph)
 
-    p = sub.add_parser(
+    p = add_parser(
         "verify-linear", help="metagraph connectivity over all linear graphs"
     )
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--threshold", type=int, default=2)
-    p.add_argument("--report", metavar="FILE")
     p.set_defaults(handler=cmd_verify_linear)
 
-    p = sub.add_parser(
+    p = add_parser(
         "verify-general", help="metagraph connectivity over all labeled graphs"
     )
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--threshold", type=int, default=4)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--report", metavar="FILE")
     p.set_defaults(handler=cmd_verify_general)
 
-    p = sub.add_parser("sample", help="MH chain over the successful paths")
+    p = add_parser("sample", help="MH chain over the successful paths")
     p.add_argument("graph")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", metavar="FILE")
     p.set_defaults(handler=cmd_sample)
 
     return parser
@@ -311,13 +310,10 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code, payload, source = args.handler(args)
-    except (GameError, ValueError) as exc:
+    except (GameError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if getattr(args, "report", None):
+    if args.report:
         report = {
             "command": list(argv),
             "input": source,

@@ -18,32 +18,12 @@ from .errors import CapExceededError, EmptyPathSetError
 from .paths import DEFAULT_CAP, PathSet, PressingPath, enumerate_successful
 
 
-def lcs_length(a: PressingPath, b: PressingPath) -> int:
-    """Longest common subsequence length, classic two-row DP."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    cur = [0] * (len(b) + 1)
-    for x in a:
-        for j, y in enumerate(b):
-            if x == y:
-                cur[j + 1] = prev[j] + 1
-            else:
-                p, c = prev[j + 1], cur[j]
-                cur[j + 1] = p if p >= c else c
-        prev, cur = cur, prev
-    return prev[len(b)]
-
-
 def _lcs_distinct(a: PressingPath, pos_b: dict[int, int]) -> int:
     """LCS against the path whose vertex->position map is pos_b.
 
     Pressing paths never repeat a vertex (a pressed vertex is isolated
     white forever), so LCS reduces to the longest increasing run of b's
-    positions taken in a's order.  Much cheaper than the DP inside the
-    all-pairs loops of the sweeps.
+    positions taken in a's order.
     """
     tails: list[int] = []
     for v in a:
@@ -160,8 +140,8 @@ def _gate_stats(
             min_k = L - v
         if v == cutoff:
             components = uf.components()
-    # every pair lands in some bucket, so the final state is complete
-    assert min_k >= 0
+    if min_k < 0:  # every pair lands in some bucket, so this cannot happen
+        raise AssertionError("metagraph still disconnected at threshold L")
     return min_k, edge_count, components
 
 
@@ -258,8 +238,8 @@ def _sweep(
 
 
 def _all_colorings(n: int):
-    # mask bit i set = vertex i black; ascending mask order is the fixed
-    # instance order the concurrency note in the reports relies on
+    # mask bit i set = vertex i black; ascending mask order fixes the
+    # instance order of sweep reports
     for mask in range(1 << n):
         yield "".join("B" if mask >> i & 1 else "W" for i in range(n))
 

@@ -72,8 +72,8 @@ def enumerate_successful(g: BWGraph, cap: int = DEFAULT_CAP) -> PathSet:
                 found.append(tuple(prefix))
                 if len(found) > cap:
                     raise CapExceededError(len(found))
-                # equal-length law: every successful path shares one length
-                assert len(prefix) == len(found[0])
+                if len(prefix) != len(found[0]):
+                    raise AssertionError("equal-length law violated")
             return
         for v in blacks:
             prefix.append(v)
@@ -81,7 +81,8 @@ def enumerate_successful(g: BWGraph, cap: int = DEFAULT_CAP) -> PathSet:
             prefix.pop()
 
     dfs(g)
-    assert found, "a solvable graph must have a successful path"
+    if not found:
+        raise AssertionError("a solvable graph must have a successful path")
     return PathSet(graph=g, paths=tuple(sorted(found)), common_length=len(found[0]))
 
 

@@ -2,10 +2,12 @@
 
 One move: delete an unordered pair of positions from the current path,
 then insert two (slot, label) choices drawn uniformly, and accept the
-result only if it is again a successful pressing path.  The Hastings
-correction uses exact rational proposal probabilities obtained by
-counting every (deletion-pair, insertion-tuple) combination realizing a
-transition, so the stationary distribution is uniform over the path set.
+result only if it is again a successful pressing path.  No Hastings
+correction is needed: q(P->Q) counts the deletion results P and Q share,
+over a denominator fixed by the path length and vertex count, so q is
+symmetric and the stationary distribution is uniform over the path set.
+proposal_probability gives q exactly, for exact_transition_matrix and the
+detailed-balance tests.
 
 Length-0 and length-1 paths admit no remove-2/add-2 move; those chains
 are single-state by construction and run_chain reports them as such.
@@ -82,8 +84,8 @@ def proposal_probability(src: PressingPath, dst: PressingPath, n: int) -> Fracti
     return Fraction(2 * matches, denom)
 
 
-def propose(s: ChainState) -> tuple[PressingPath, Fraction, Fraction]:
-    """Draw a candidate path; return it with q(P->Q) and q(Q->P)."""
+def propose(s: ChainState) -> PressingPath:
+    """Draw a candidate path by one remove-2/add-2 move."""
     path = s.current
     L = len(path)
     if L < 2:
@@ -99,23 +101,20 @@ def propose(s: ChainState) -> tuple[PressingPath, Fraction, Fraction]:
     slot = rng.randrange(L - 1)
     r = r[:slot] + (rng.randrange(n),) + r[slot:]
     slot = rng.randrange(L)
-    cand = r[:slot] + (rng.randrange(n),) + r[slot:]
-    return (
-        cand,
-        proposal_probability(path, cand, n),
-        proposal_probability(cand, path, n),
-    )
+    return r[:slot] + (rng.randrange(n),) + r[slot:]
 
 
 def mh_step(s: ChainState) -> ChainState:
-    """One Metropolis-Hastings step, in place; stays put on rejection."""
+    """One Metropolis-Hastings step, in place; stays put on rejection.
+
+    The proposal is symmetric, so the Hastings ratio is 1: accept exactly
+    when the candidate is a successful path.
+    """
     s.step_count += 1
     if len(s.current) < 2:
         return s
-    cand, q_fwd, q_rev = propose(s)
+    cand = propose(s)
     if not is_successful_path(s.graph, cand):
-        return s
-    if q_rev < q_fwd and s.rng.random() >= q_rev / q_fwd:
         return s
     s.current = cand
     s.accept_count += 1

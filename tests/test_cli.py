@@ -7,6 +7,7 @@ import pytest
 from pressgame.bwgraph import format_graph, linear_graph
 from pressgame.cli import load_graph, main
 from pressgame.errors import GraphParseError, SelfLoopError
+from pressgame.permrev import build_dr, build_overlap, parse_signed_permutation
 
 from gen import all_graphs_upto
 
@@ -105,6 +106,8 @@ def test_help_and_version_exit_0(capsys):
 def test_load_graph_examples(tmp_path):
     g = load_graph("linear:B")
     assert g.n == 1 and g.color_string() == "B"
+    assert load_graph("LINEAR:WBW") == linear_graph("WBW")
+    assert load_graph(" linear:wbw") == linear_graph("WBW")
 
     f = tmp_path / "g.txt"
     f.write_text("3\nWBW\n")
@@ -137,18 +140,40 @@ def test_press_does_not_mutate_input_file(capsys, tmp_path):
 
 def test_report_is_stable_modulo_wall_time(capsys, tmp_path):
     r = tmp_path / "a.json"
-    docs = []
-    for _ in range(2):
-        code, _, _ = run(capsys, "enumerate", "linear:WBW", "--report", str(r))
-        assert code == 0
-        docs.append(json.loads(r.read_text()))
-    a, b = docs
-    a.pop("wall_time")
-    b.pop("wall_time")
-    assert a == b
-    assert a["payload"] == {"common_length": 2, "count": 2, "paths": ["1 0", "1 2"]}
-    assert a["command"][0] == "enumerate"
-    assert a["version"] == "0.1.0"
+    perm = "+4 -1 -6 +3 +2 +5"
+    overlap = build_overlap(build_dr(parse_signed_permutation(perm)))
+    cases = [
+        (
+            ("enumerate", "linear:WBW"),
+            {"common_length": 2, "count": 2, "paths": ["1 0", "1 2"]},
+        ),
+        (("press", "linear:WBW", "1"), {"n": 3, "colors": "BWB", "edges": [[0, 2]]}),
+        (("distance", perm), {"permutation": perm, "distance": 6}),
+        (
+            ("overlap", perm),
+            {
+                "permutation": perm,
+                "overlap": {
+                    "n": 7,
+                    "colors": "BBWWWBB",
+                    "edges": [list(e) for e in overlap.edges()],
+                },
+            },
+        ),
+    ]
+    for argv, payload in cases:
+        docs = []
+        for _ in range(2):
+            code, _, _ = run(capsys, *argv, "--report", str(r))
+            assert code == 0
+            docs.append(json.loads(r.read_text()))
+        a, b = docs
+        a.pop("wall_time")
+        b.pop("wall_time")
+        assert a == b
+        assert a["payload"] == payload
+        assert a["command"][0] == argv[0]
+        assert a["version"] == "0.1.0"
 
 
 def test_sweep_report_verdict_field(capsys, tmp_path):

@@ -85,10 +85,11 @@ def test_short_paths_cannot_propose():
 def test_propose_draws_are_realizable():
     s = make_state("BBB", (0, 2, 1), seed=11)
     for _ in range(50):
-        cand, q_fwd, q_rev = propose(s)
+        cand = propose(s)
         assert len(cand) == 3
+        q_fwd = proposal_probability(s.current, cand, 3)
         assert q_fwd > 0  # the drawn candidate is by construction reachable
-        assert q_fwd == q_rev
+        assert q_fwd == proposal_probability(cand, s.current, 3)
 
 
 def test_mh_step_counts_and_keeps_validity():
@@ -215,3 +216,35 @@ def test_chain_is_irreducible_on_linear_graphs():
                         uf.union(i, j)
             assert uf.count == 1, colors
     assert stuck == ["BB"]
+
+
+# run_chain(linear_graph(colors), steps, seed=seed) as recorded from the
+# sampler that applied the exact Fraction Hastings ratio.  The proposal is
+# symmetric, so that ratio is always 1 and accepting every successful
+# candidate must reproduce the same RNG stream, histogram and accept count.
+GOLDEN_CHAINS = [
+    ("BBB", 1, 2_000, 145, {(0, 2, 1): 981, (2, 0, 1): 819}),
+    ("BWBB", 0, 3_000, 62, {
+        (0, 1, 3, 2): 326, (0, 3, 1, 2): 542, (2, 1, 3, 0): 1220, (3, 0, 1, 2): 612,
+    }),
+    ("BWBB", 105, 3_000, 72, {
+        (0, 1, 3, 2): 888, (0, 3, 1, 2): 754, (2, 1, 3, 0): 411, (3, 0, 1, 2): 647,
+    }),
+    ("BBBB", 7, 3_000, 67, {
+        (0, 2, 1, 3): 1058, (1, 3, 2, 0): 805, (2, 0, 1, 3): 688, (3, 1, 2, 0): 149,
+    }),
+    ("WBWBW", 3, 3_000, 116, {
+        (1, 0, 3, 2): 207, (1, 0, 3, 4): 535, (1, 3, 0, 2): 263, (1, 3, 0, 4): 148,
+        (1, 3, 4, 0): 181, (1, 3, 4, 2): 120, (3, 1, 0, 2): 247, (3, 1, 0, 4): 165,
+        (3, 1, 4, 0): 324, (3, 1, 4, 2): 287, (3, 4, 1, 0): 117, (3, 4, 1, 2): 106,
+    }),
+]
+
+
+@pytest.mark.parametrize("colors, seed, steps, accepted, histogram", GOLDEN_CHAINS)
+def test_run_chain_matches_recorded_trajectories(
+    colors, seed, steps, accepted, histogram
+):
+    r = run_chain(linear_graph(colors), steps=steps, seed=seed)
+    assert r.histogram == histogram
+    assert r.acceptance_rate == accepted / steps
