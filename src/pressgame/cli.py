@@ -32,9 +32,8 @@ from .errors import GameError
 from .meta import (
     SweepReport,
     build_metagraph,
-    is_connected,
+    connectivity,
     metagraph_to_dot,
-    min_connect_threshold,
     verify_general_family,
     verify_linear_family,
 )
@@ -107,7 +106,6 @@ def _sweep_payload(r: SweepReport) -> dict:
             {
                 "graph": _graph_payload(s.graph),
                 "path_count": s.path_count,
-                "edge_count": s.edge_count,
                 "connected": s.connected,
                 "min_threshold": s.min_threshold,
             }
@@ -184,8 +182,8 @@ def cmd_metagraph(args) -> tuple[int, dict, str]:
     g = load_graph(args.graph)
     ps = enumerate_successful(g)
     m = build_metagraph(ps, args.threshold)
-    connected = is_connected(m)
-    kmin = min_connect_threshold(ps)
+    kmin, components = connectivity(ps, args.threshold)
+    connected = len(components) == 1
     print(
         f"{len(ps.paths)} paths, {len(m.edges)} edges at threshold "
         f"{args.threshold}: {'connected' if connected else 'DISCONNECTED'} "

@@ -5,37 +5,22 @@ between two paths when their longest common subsequence is at most k below
 the common length.  Sweeps check connectivity of that graph across whole
 graph families: all linear graphs up to n_max at threshold 2, and all
 labeled graphs up to n_max at threshold 4.
+
+Edges are decided without comparing pairs.  Two paths of common length L
+have an LCS of at least L - k exactly when they share a subsequence of
+length L - k, so grouping path indices by each of their (L-k)-subsequences
+puts every edge inside some group.  That takes about P * C(L, k) dict
+operations for P paths, where all-pairs LCS takes P^2 / 2 LCS runs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
 from .bwgraph import BWGraph, is_solvable, linear_graph
 from .errors import CapExceededError, EmptyPathSetError
 from .paths import DEFAULT_CAP, PathSet, PressingPath, enumerate_successful
-
-
-def _lcs_distinct(a: PressingPath, pos_b: dict[int, int]) -> int:
-    """LCS against the path whose vertex->position map is pos_b.
-
-    Pressing paths never repeat a vertex (a pressed vertex is isolated
-    white forever), so LCS reduces to the longest increasing run of b's
-    positions taken in a's order.
-    """
-    tails: list[int] = []
-    for v in a:
-        p = pos_b.get(v)
-        if p is None:
-            continue
-        i = bisect_left(tails, p)
-        if i == len(tails):
-            tails.append(p)
-        else:
-            tails[i] = p
-    return len(tails)
 
 
 class _UnionFind:
@@ -72,77 +57,62 @@ class Metagraph:
     edges: tuple[tuple[int, int], ...]
 
 
-def _lcs_buckets(ps: PathSet) -> list[list[tuple[int, int]]]:
-    """Unordered path pairs bucketed by LCS value (index = value 0..L)."""
-    paths = ps.paths
-    pos = [{v: i for i, v in enumerate(p)} for p in paths]
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(ps.common_length + 1)]
-    for i, j in combinations(range(len(paths)), 2):
-        buckets[_lcs_distinct(paths[i], pos[j])].append((i, j))
-    return buckets
+def _buckets(ps: PathSet, k: int) -> list[list[int]]:
+    """Path indices grouped by a shared (L-k)-subsequence, groups of two or more.
+
+    A path never repeats a vertex, so its (L-k)-subsequences are distinct
+    and each group lists ascending indices without repeats.
+    """
+    groups: dict[PressingPath, list[int]] = {}
+    size = max(ps.common_length - k, 0)
+    for i, p in enumerate(ps.paths):
+        for key in combinations(p, size):
+            groups.setdefault(key, []).append(i)
+    return [g for g in groups.values() if len(g) > 1]
 
 
-def build_metagraph(ps: PathSet, k: int) -> Metagraph:
-    """Edge iff lcs >= common_length - k (`at most k less`, inclusive)."""
+def _check_gate(ps: PathSet, k: int) -> None:
     if not ps.paths:
         raise EmptyPathSetError("metagraph needs at least one path")
     if k < 0:
         raise ValueError("threshold must be non-negative")
-    cutoff = max(ps.common_length - k, 0)
-    edges = [
-        pair
-        for bucket in _lcs_buckets(ps)[cutoff:]
-        for pair in bucket
-    ]
+
+
+def build_metagraph(ps: PathSet, k: int) -> Metagraph:
+    """Edge iff lcs >= common_length - k (`at most k less`, inclusive)."""
+    _check_gate(ps, k)
+    edges = {pair for g in _buckets(ps, k) for pair in combinations(g, 2)}
     return Metagraph(vertices=ps, threshold=k, edges=tuple(sorted(edges)))
 
 
-def is_connected(m: Metagraph) -> bool:
-    """Union-find connectivity; zero or one vertex counts as connected."""
-    n = len(m.vertices.paths)
-    if n <= 1:
-        return True
-    uf = _UnionFind(n)
-    for i, j in m.edges:
-        uf.union(i, j)
-    return uf.count == 1
-
-
-def min_connect_threshold(ps: PathSet) -> int:
-    """Smallest k whose metagraph is connected (never above common_length)."""
-    if not ps.paths:
-        raise EmptyPathSetError("metagraph needs at least one path")
-    return _gate_stats(ps, 0)[0]
-
-
-def _gate_stats(
+def connectivity(
     ps: PathSet, k: int
-) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """One pass over the LCS buckets, shared by the sweeps.
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(min connecting threshold, metagraph components at threshold k).
 
-    Returns (min connecting threshold, edge count at gate k, metagraph
-    components at gate k).  Buckets are merged in descending LCS order, so
-    the first point of full connectivity is the bottleneck threshold.
+    The edges at threshold d include those at d - 1, so the buckets for
+    d = 0, 1, ... merge into one union-find until it is connected.  That
+    happens by d = common_length at the latest, where every path shares
+    the empty subsequence.
     """
-    paths = ps.paths
-    L = ps.common_length
-    buckets = _lcs_buckets(ps)
-    cutoff = max(L - k, 0)
-    uf = _UnionFind(len(paths))
-    min_k = 0 if len(paths) == 1 else -1
-    edge_count = 0
-    components: tuple[tuple[int, ...], ...] = ()
-    for v in range(L, -1, -1):
-        for i, j in buckets[v]:
-            uf.union(i, j)
-        edge_count += len(buckets[v]) if v >= cutoff else 0
-        if min_k < 0 and uf.count == 1:
-            min_k = L - v
-        if v == cutoff:
-            components = uf.components()
-    if min_k < 0:  # every pair lands in some bucket, so this cannot happen
-        raise AssertionError("metagraph still disconnected at threshold L")
-    return min_k, edge_count, components
+    _check_gate(ps, k)
+    uf = _UnionFind(len(ps.paths))
+    at_k = None
+    d = 0
+    while True:
+        for first, *rest in _buckets(ps, d):
+            for i in rest:
+                uf.union(first, i)
+            if uf.count == 1:
+                break
+        if d == k:
+            at_k = uf.components()
+        if uf.count == 1:
+            break
+        d += 1
+    if at_k is None:  # connected below k, so one component at k
+        at_k = (tuple(range(len(ps.paths))),)
+    return d, at_k
 
 
 @dataclass(frozen=True)
@@ -151,7 +121,6 @@ class InstanceStats:
 
     graph: BWGraph
     path_count: int
-    edge_count: int
     connected: bool
     min_threshold: int
 
@@ -192,25 +161,21 @@ def verify_instance(
     (a disconnection witness when there is more than one).
     """
     ps = enumerate_successful(g, cap)
-    min_k, edge_count, components = _gate_stats(ps, k)
+    min_k, components = connectivity(ps, k)
     stats = InstanceStats(
         graph=g,
         path_count=len(ps.paths),
-        edge_count=edge_count,
         connected=len(components) == 1,
         min_threshold=min_k,
     )
     return stats, ps, components
 
 
-def verify_general(g: BWGraph, k: int = 4, cap: int = DEFAULT_CAP) -> InstanceStats:
-    """Single-instance connectivity verdict plus min connecting threshold."""
-    return verify_instance(g, k, cap)[0]
-
-
 def _sweep(
     family: str, graphs, threshold: int, cap: int
 ) -> SweepReport:
+    if threshold < 0:
+        raise ValueError("threshold must be non-negative")
     stats: list[InstanceStats] = []
     failures: list[SweepFailure] = []
     incomplete: list[tuple[BWGraph, int]] = []

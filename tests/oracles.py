@@ -8,6 +8,7 @@ checked against a second, unrelated route.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 
@@ -114,6 +115,56 @@ def recursive_lcs(a, b):
         return memo[i, j]
 
     return rec(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# All-pairs LCS metagraph gate (the package gates by shared subsequences).
+
+def lcs_distinct(a, pos_b):
+    """LCS against the path whose vertex->position map is pos_b.
+
+    Pressing paths never repeat a vertex (a pressed vertex is isolated
+    white forever), so LCS reduces to the longest increasing run of b's
+    positions taken in a's order.
+    """
+    tails = []
+    for v in a:
+        p = pos_b.get(v)
+        if p is None:
+            continue
+        i = bisect_left(tails, p)
+        if i == len(tails):
+            tails.append(p)
+        else:
+            tails[i] = p
+    return len(tails)
+
+
+def pairwise_lcs_gate(ps, k):
+    """(min connecting threshold, metagraph components at threshold k).
+
+    Every pair is bucketed by its LCS, and the buckets are merged in
+    descending LCS order, so the first point of full connectivity is the
+    bottleneck threshold.
+    """
+    paths = ps.paths
+    L = ps.common_length
+    pos = [{v: i for i, v in enumerate(p)} for p in paths]
+    buckets = [[] for _ in range(L + 1)]
+    for i, j in itertools.combinations(range(len(paths)), 2):
+        buckets[lcs_distinct(paths[i], pos[j])].append((i, j))
+    cutoff = max(L - k, 0)
+    edges = []
+    min_k = None
+    components = None
+    for v in range(L, -1, -1):
+        edges += buckets[v]
+        comps = union_find_components(len(paths), edges)
+        if min_k is None and len(comps) == 1:
+            min_k = L - v
+        if v == cutoff:
+            components = tuple(comps)
+    return min_k, components
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import pytest
 from pressgame.bwgraph import BWGraph, is_all_white_empty, is_solvable, linear_graph, press
 from pressgame.cli import main as cli_main
 from pressgame.errors import EdgeNotOrientedError, HurdleRiskError
-from pressgame.meta import build_metagraph, is_connected
 from pressgame.paths import enumerate_successful, find_safe_press, is_successful_path
 from pressgame.permrev import (
     SignedPermutation,

@@ -79,6 +79,13 @@ def test_verify_linear_example(capsys):
     )
 
 
+@pytest.mark.slow
+def test_verify_linear_n9_passes(capsys):
+    code, out, _ = run(capsys, "verify-linear", "--n-max", "9")
+    assert code == 0
+    assert out.startswith("PASS: 1014 solvable instances at threshold 2")
+
+
 def test_metagraph_exit_tracks_connectivity(capsys, tmp_path):
     code, out, _ = run(capsys, "metagraph", "linear:BWBB", "--threshold", "2")
     assert code == 0 and "connected" in out
@@ -96,6 +103,14 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "press", "linear:WBW")[0] == 2  # no vertices
     assert run(capsys, "sample", "linear:WBW")[0] == 2  # missing --steps
     assert run(capsys)[0] == 2
+    for argv in (
+        ("metagraph", "linear:BWBB", "--threshold", "-1"),
+        ("verify-linear", "--n-max", "2", "--threshold", "-1"),
+        ("verify-general", "--n-max", "1", "--threshold", "-1"),
+    ):
+        assert run(capsys, *argv) == (
+            2, "", "error: threshold must be non-negative\n"
+        )
 
 
 def test_help_and_version_exit_0(capsys):

@@ -5,24 +5,27 @@ import pytest
 from pressgame.bwgraph import BWGraph, is_solvable, linear_graph
 from pressgame.errors import EmptyPathSetError
 from pressgame.meta import (
-    Metagraph,
-    _lcs_distinct,
+    _linear_family,
     build_metagraph,
-    is_connected,
+    connectivity,
     metagraph_to_dot,
-    min_connect_threshold,
-    verify_general,
     verify_general_family,
+    verify_instance,
     verify_linear_family,
 )
 from pressgame.paths import PathSet, enumerate_successful
 
 from gen import all_graphs_upto
-from oracles import recursive_lcs
+from oracles import (
+    lcs_distinct,
+    pairwise_lcs_gate,
+    recursive_lcs,
+    union_find_components,
+)
 
 
 def lcs(a, b):
-    return _lcs_distinct(a, {v: i for i, v in enumerate(b)})
+    return lcs_distinct(a, {v: i for i, v in enumerate(b)})
 
 
 def test_lcs_length_examples():
@@ -32,7 +35,7 @@ def test_lcs_length_examples():
 
 
 def test_lcs_length_matches_recursive_definition():
-    # pressing paths never repeat a vertex, the case _lcs_distinct relies on
+    # pressing paths never repeat a vertex, the case lcs_distinct relies on
     seqs = [
         (),
         (0,),
@@ -77,24 +80,32 @@ def test_empty_path_set_rejected():
     with pytest.raises(EmptyPathSetError):
         build_metagraph(empty, 2)
     with pytest.raises(EmptyPathSetError):
-        min_connect_threshold(empty)
+        connectivity(empty, 2)
 
 
-def test_is_connected_examples():
+def test_negative_threshold_rejected():
+    ps = enumerate_successful(linear_graph("WBW"))
+    with pytest.raises(ValueError, match="non-negative"):
+        build_metagraph(ps, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        connectivity(ps, -1)
+
+
+def test_connectivity_examples():
     single = enumerate_successful(linear_graph("B"))
-    assert is_connected(build_metagraph(single, 0))
-    assert is_connected(build_metagraph(enumerate_successful(linear_graph("WBW")), 2))
-    # two disjoint paths: lcs 0 < 3 - 2, no edge
+    assert connectivity(single, 0) == (0, ((0,),))
+    assert connectivity(enumerate_successful(linear_graph("WBW")), 2) == (1, ((0, 1),))
+    # two disjoint paths: lcs 0 < 3 - 2, no edge until the gate is 3
     g = BWGraph.from_parts("WWWWWW")
     far = PathSet(graph=g, paths=((0, 1, 2), (3, 4, 5)), common_length=3)
-    assert not is_connected(build_metagraph(far, 2))
-    assert is_connected(Metagraph(vertices=far, threshold=0, edges=((0, 1),)))
+    assert build_metagraph(far, 2).edges == ()
+    assert connectivity(far, 2) == (3, ((0,), (1,)))
+    assert connectivity(far, 3) == (3, ((0, 1),))
 
 
 def test_min_connect_threshold_examples():
-    assert min_connect_threshold(enumerate_successful(linear_graph("B"))) == 0
-    assert min_connect_threshold(enumerate_successful(linear_graph("BBB"))) == 1
-    assert min_connect_threshold(enumerate_successful(linear_graph("WBW"))) == 1
+    for colors, kmin in (("B", 0), ("BBB", 1), ("WBW", 1)):
+        assert connectivity(enumerate_successful(linear_graph(colors)), 0)[0] == kmin
 
 
 def test_gate_edges_match_pairwise_lcs():
@@ -118,22 +129,42 @@ def test_min_threshold_is_the_first_connected_gate():
         if not is_solvable(g):
             continue
         ps = enumerate_successful(g)
-        kmin = min_connect_threshold(ps)
+        gates = [connectivity(ps, k) for k in range(ps.common_length + 1)]
+        kmin = gates[0][0]
         assert kmin <= ps.common_length
-        connected = [
-            is_connected(build_metagraph(ps, k))
-            for k in range(ps.common_length + 1)
-        ]
-        # monotone in k, and kmin is the first True
+        assert all(kmin_at_k == kmin for kmin_at_k, _ in gates)
+        # monotone in k, and kmin is the first connected gate
+        connected = [len(components) == 1 for _, components in gates]
         assert connected == [k >= kmin for k in range(ps.common_length + 1)]
+        for k, (_, components) in enumerate(gates):
+            edges = build_metagraph(ps, k).edges
+            assert list(components) == union_find_components(len(ps.paths), edges)
 
 
-def test_verify_general_examples():
-    assert verify_general(linear_graph("BBB"), 4).connected
+def test_connectivity_matches_pairwise_lcs_gate():
+    for g in all_graphs_upto(4):
+        if not is_solvable(g):
+            continue
+        ps = enumerate_successful(g)
+        for k in range(ps.common_length + 1):
+            assert connectivity(ps, k) == pairwise_lcs_gate(ps, k)
+    checked = 0
+    for g in _linear_family(7):  # the linear sweep family at its threshold
+        if not is_solvable(g):
+            continue
+        ps = enumerate_successful(g)
+        assert connectivity(ps, 2) == pairwise_lcs_gate(ps, 2)
+        checked += 1
+    assert checked == 248
+
+
+def test_verify_instance_examples():
+    assert verify_instance(linear_graph("BBB"), 4)[0].connected
     triangle = BWGraph.from_parts("BBB", [(0, 1), (1, 2), (0, 2)])
-    row = verify_general(triangle, 4)
-    assert row.connected and row.path_count == 3
-    assert verify_general(linear_graph("B"), 0).connected
+    row, ps, components = verify_instance(triangle, 4)
+    assert row.connected and row.path_count == 3 == len(ps.paths)
+    assert components == ((0, 1, 2),)
+    assert verify_instance(linear_graph("B"), 0)[0].connected
 
 
 def test_verify_linear_family_small():
