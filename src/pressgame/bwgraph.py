@@ -39,7 +39,8 @@ class BWGraph:
     """Vertex colors plus symmetric irreflexive adjacency.
 
     colors: bit v set means vertex v is black.
-    adj[v]: neighbor bitmask of v.
+    adj[v]: neighbor bitmask of v.  The constructor raises ValueError on
+    any row that is asymmetric, self-looped or reaches past vertex n-1.
     """
 
     n: int
@@ -47,8 +48,12 @@ class BWGraph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0 or len(self.adj) != self.n or self.colors >> self.n:
+        n, adj = self.n, self.adj
+        if n < 0 or len(adj) != n or self.colors >> n:
             raise ValueError("inconsistent graph fields")
+        for v, row in enumerate(adj):
+            if row >> n or row >> v & 1 or any(not adj[u] >> v & 1 for u in _bits(row)):
+                raise ValueError(f"adjacency row {v} is not symmetric and irreflexive")
 
     @classmethod
     def from_parts(
@@ -92,6 +97,16 @@ class BWGraph:
         return bool(self.adj[u] >> v & 1)
 
 
+def _unchecked(n: int, colors: int, adj: tuple[int, ...]) -> BWGraph:
+    """A BWGraph built without __post_init__, for results that keep the
+    invariant by construction (press runs in every inner loop)."""
+    g = object.__new__(BWGraph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "colors", colors)
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
 @dataclass(frozen=True)
 class Component:
     vertices: tuple[int, ...]
@@ -121,7 +136,7 @@ def press(g: BWGraph, v: int) -> BWGraph:
     for u in _bits(nbrs):
         adj[u] = (adj[u] ^ (nbrs & ~(1 << u))) & vbit
     adj[v] = 0
-    return BWGraph(g.n, colors, tuple(adj))
+    return _unchecked(g.n, colors, tuple(adj))
 
 
 def apply_path(g: BWGraph, path: Sequence[int]) -> BWGraph:

@@ -37,7 +37,7 @@ from .meta import (
     verify_general_family,
     verify_linear_family,
 )
-from .paths import DEFAULT_CAP, PathSet, enumerate_successful, format_paths
+from .paths import DEFAULT_CAP, PathSet, enumerate_successful, format_path, format_paths
 from .permrev import (
     build_dr,
     build_overlap,
@@ -72,15 +72,11 @@ def _graph_payload(g: BWGraph) -> dict:
     }
 
 
-def _path_strings(paths) -> list[str]:
-    return [" ".join(str(v) for v in p) for p in paths]
-
-
 def _pathset_payload(ps: PathSet) -> dict:
     return {
         "common_length": ps.common_length,
         "count": len(ps.paths),
-        "paths": _path_strings(ps.paths),
+        "paths": [format_path(p) for p in ps.paths],
     }
 
 
@@ -93,7 +89,7 @@ def _sweep_payload(r: SweepReport) -> dict:
         "failures": [
             {
                 "graph": _graph_payload(f.graph),
-                "paths": _path_strings(f.path_set.paths),
+                "paths": [format_path(p) for p in f.path_set.paths],
                 "components": [list(c) for c in f.components],
             }
             for f in r.failures
@@ -122,9 +118,7 @@ def _chain_payload(r: ChainReport) -> dict:
         "burn_in": r.burn_in,
         "acceptance_rate": r.acceptance_rate,
         "tv_distance": r.tv_distance,
-        "histogram": {
-            " ".join(str(v) for v in p): c for p, c in sorted(r.histogram.items())
-        },
+        "histogram": {format_path(p): c for p, c in sorted(r.histogram.items())},
     }
 
 
@@ -225,7 +219,7 @@ def cmd_sample(args) -> tuple[int, dict, str]:
         f"acceptance rate {r.acceptance_rate:.4f}, tv distance {tv}"
     )
     for p, count in sorted(r.histogram.items()):
-        print(f"  {' '.join(str(v) for v in p)}: {count}")
+        print(f"  {format_path(p)}: {count}")
     return 0, _chain_payload(r), args.graph
 
 

@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .bwgraph import BWGraph, is_solvable, linear_graph
 from .errors import CapExceededError, EmptyPathSetError
-from .paths import DEFAULT_CAP, PathSet, PressingPath, enumerate_successful
+from .paths import DEFAULT_CAP, PathSet, PressingPath, enumerate_successful, format_path
 
 
 class _UnionFind:
@@ -248,8 +248,7 @@ def metagraph_to_dot(m: Metagraph, name: str = "M") -> str:
     """DOT rendering; vertices are labeled by their path strings."""
     lines = [f"graph {name} {{"]
     for idx, p in enumerate(m.vertices.paths):
-        label = " ".join(str(v) for v in p)
-        lines.append(f'  p{idx} [label="{label}"];')
+        lines.append(f'  p{idx} [label="{format_path(p)}"];')
     lines.extend(f"  p{i} -- p{j};" for i, j in m.edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

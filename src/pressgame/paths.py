@@ -10,13 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bwgraph import (
-    BWGraph,
-    classify_components,
-    is_all_white_empty,
-    is_solvable,
-    press,
-)
+from .bwgraph import BWGraph, is_all_white_empty, is_solvable, press
 from .errors import AlreadySolvedError, CapExceededError, UnsolvableError
 
 PressingPath = tuple[int, ...]
@@ -94,7 +88,7 @@ def find_safe_press(g: BWGraph) -> int:
     if is_all_white_empty(g):
         raise AlreadySolvedError("graph is already the all-white empty graph")
     for v in g.black_vertices():
-        if not classify_components(press(g, v)).has_nontrivial_unoriented():
+        if is_solvable(press(g, v)):
             return v
     raise AssertionError("no safe press found on a solvable graph")
 
@@ -111,6 +105,11 @@ def greedy_solve(g: BWGraph) -> PressingPath:
     return tuple(out)
 
 
+def format_path(p: PressingPath) -> str:
+    """The path text format: space-separated vertex indices."""
+    return " ".join(str(v) for v in p)
+
+
 def format_paths(ps: PathSet) -> str:
-    """One path per line, space-separated vertex indices."""
-    return "\n".join(" ".join(str(v) for v in p) for p in ps.paths) + "\n"
+    """One path per line, in the path text format."""
+    return "\n".join(format_path(p) for p in ps.paths) + "\n"

@@ -2,10 +2,11 @@
 
 A signed permutation is doubled into a framed unsigned sequence whose
 reality edges (adjacent position pairs) record the current order and whose
-desire edges (label pairs 2i, 2i+1) record the target order.  The overlap
-graph built from the desire-edge spans is a black-and-white graph, and
-pressing a black vertex there matches the reversal acting on that desire
-edge.
+desire edges (label pairs 2i, 2i+1) record the target order.  Everything
+here works on plain integers: one label-to-index table per doubled
+sequence, spans as (lo, hi) position pairs, and the overlap graph built
+straight into BWGraph bitmasks.  Pressing a black vertex of the overlap
+graph matches the reversal acting on that desire edge.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bwgraph import BWGraph, classify_components
+from .bwgraph import BWGraph, is_solvable
 from .errors import (
     EdgeNotOrientedError,
     HurdleRiskError,
@@ -55,7 +56,8 @@ class DesireRealityGraph:
 
     seq holds the 2n+2 labels; seq[0] = 0 and seq[-1] = 2n+1.  Positions
     are 1-indexed in the public operations.  Reality edges join positions
-    (2i-1, 2i); desire edges join labels (2i, 2i+1).
+    (2i-1, 2i); desire edges join labels (2i, 2i+1).  index[label] is the
+    0-based index of label in seq.
     """
 
     seq: tuple[int, ...]
@@ -65,26 +67,11 @@ class DesireRealityGraph:
         return (len(self.seq) - 2) // 2
 
     @cached_property
-    def _pos(self) -> dict[int, int]:
-        return {label: idx + 1 for idx, label in enumerate(self.seq)}
-
-    def position_of(self, label: int) -> int:
-        return self._pos[label]
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Positions spanned by a desire edge, 1-indexed, lo < hi."""
-
-    lo: int
-    hi: int
-
-    def covered(self) -> int:
-        return self.hi - self.lo - 1
-
-    def strictly_crosses(self, other: Interval) -> bool:
-        a, b = (self, other) if self.lo < other.lo else (other, self)
-        return a.lo < b.lo < a.hi < b.hi
+    def index(self) -> list[int]:
+        index = [0] * len(self.seq)
+        for idx, label in enumerate(self.seq):
+            index[label] = idx
+        return index
 
 
 def parse_signed_permutation(text: str) -> SignedPermutation:
@@ -126,33 +113,40 @@ def dr_to_permutation(dr: DesireRealityGraph) -> SignedPermutation:
     return SignedPermutation(tuple(elems))
 
 
-def desire_edge_span(dr: DesireRealityGraph, k: int) -> Interval:
-    """Positions of labels 2k and 2k+1, normalized to lo < hi."""
+def desire_edge_span(dr: DesireRealityGraph, k: int) -> tuple[int, int]:
+    """1-based positions (lo, hi) of labels 2k and 2k+1, with lo < hi; the
+    span covers the hi - lo - 1 positions strictly between them."""
     if not 0 <= k <= dr.n:
         raise IndexOutOfRangeError(f"desire edge {k} outside 0..{dr.n}")
-    a, b = dr.position_of(2 * k), dr.position_of(2 * k + 1)
-    return Interval(min(a, b), max(a, b))
+    a, b = dr.index[2 * k], dr.index[2 * k + 1]
+    return (a + 1, b + 1) if a < b else (b + 1, a + 1)
 
 
 def build_overlap(dr: DesireRealityGraph) -> BWGraph:
     """Overlap graph: one vertex per desire edge, black iff its span covers
-    an odd number of vertices, edges between strictly crossing spans."""
-    spans = [desire_edge_span(dr, k) for k in range(dr.n + 1)]
-    colors = ["B" if s.covered() % 2 else "W" for s in spans]
-    edges = [
-        (j, k)
-        for j in range(len(spans))
-        for k in range(j + 1, len(spans))
-        if spans[j].strictly_crosses(spans[k])
-    ]
-    return BWGraph.from_parts(colors, edges)
+    an odd number of positions, edges between strictly crossing spans.
+
+    A span strictly crosses span k exactly when one of its two labels lies
+    strictly inside span k, so row k is the XOR of the desire-edge bits of
+    the labels inside it (an edge with both labels inside cancels out): a
+    difference of two prefix XORs over seq.
+    """
+    prefix = [0]
+    for label in dr.seq:
+        prefix.append(prefix[-1] ^ (1 << (label >> 1)))
+    colors = 0
+    adj = []
+    for k in range(dr.n + 1):
+        lo, hi = desire_edge_span(dr, k)
+        colors |= ((hi - lo - 1) % 2) << k
+        adj.append(prefix[hi - 1] ^ prefix[lo])
+    return BWGraph(dr.n + 1, colors, tuple(adj))
 
 
 def cycle_count(dr: DesireRealityGraph) -> int:
     """Cycles of the 2-regular multigraph holding all reality and desire
     edges; the traversal alternates between the two edge kinds."""
-    seq = dr.seq
-    pos0 = {label: idx for idx, label in enumerate(seq)}
+    seq, index = dr.seq, dr.index
     visited = [False] * len(seq)
     cycles = 0
     for start in range(len(seq)):
@@ -162,7 +156,7 @@ def cycle_count(dr: DesireRealityGraph) -> int:
         label = start
         while True:
             visited[label] = True
-            partner = seq[pos0[label] ^ 1]  # reality edge within the position pair
+            partner = seq[index[label] ^ 1]  # reality edge within the position pair
             visited[partner] = True
             label = partner ^ 1  # desire edge within the label pair
             if label == start:
@@ -174,7 +168,7 @@ def reversal_distance_hurdle_free(p: SignedPermutation) -> int:
     """n+1-c for permutations whose overlap graph has no non-trivial
     unoriented component (hurdle detection is out of scope)."""
     dr = build_dr(p)
-    if classify_components(build_overlap(dr)).has_nontrivial_unoriented():
+    if not is_solvable(build_overlap(dr)):
         raise HurdleRiskError(
             f"{p} has a non-trivial unoriented component; hurdle-free formula not applicable"
         )
@@ -190,16 +184,14 @@ def reversal_on_desire_edge(p: SignedPermutation, k: int) -> SignedPermutation:
     edge exactly this one candidate passes; otherwise no acting reversal
     exists.
     """
-    dr = build_dr(p)
-    if not 0 <= k <= dr.n:
-        raise IndexOutOfRangeError(f"desire edge {k} outside 0..{dr.n}")
-    span = desire_edge_span(dr, k)
-    r_lo, r_hi = (span.lo + 1) // 2, (span.hi + 1) // 2  # reality-edge indices, 1-based
+    lo, hi = desire_edge_span(build_dr(p), k)
+    r_lo, r_hi = (lo + 1) // 2, (hi + 1) // 2  # reality-edge indices, 1-based
     if r_lo == r_hi:
         raise EdgeNotOrientedError(
             f"desire edge {k} already forms a small cycle with a reality edge"
         )
     candidate = apply_reversal(p, r_lo - 1, r_hi - 2)
-    if desire_edge_span(build_dr(candidate), k).covered() != 0:
+    lo, hi = desire_edge_span(build_dr(candidate), k)
+    if hi - lo - 1 != 0:
         raise EdgeNotOrientedError(f"desire edge {k} of {p} is unoriented")
     return candidate

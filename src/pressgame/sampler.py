@@ -173,9 +173,11 @@ def tv_distance(hist: dict[PressingPath, int] | Counter, ps: PathSet) -> float:
 def exact_transition_matrix(ps: PathSet) -> list[list[Fraction]]:
     """MH transition matrix over ps.paths in exact rational arithmetic.
 
-    Row i: off-diagonal entries are q(i->j) * min(1, q(j->i)/q(i->j));
-    the diagonal absorbs every rejected or out-of-set proposal.  Path
-    sets with common length below 2 yield the identity matrix.
+    Row i: off-diagonal entries are q(i->j), since mh_step accepts every
+    proposal that lands on a successful path; the diagonal absorbs the
+    rest.  The matrix is symmetric exactly when q is, which is what makes
+    the uniform distribution stationary.  Path sets with common length
+    below 2 yield the identity matrix.
     """
     if not ps.paths:
         raise EmptyPathSetError("transition matrix needs at least one path")
@@ -187,15 +189,8 @@ def exact_transition_matrix(ps: PathSet) -> list[list[Fraction]]:
     n = ps.graph.n
     t = [[Fraction(0)] * count for _ in range(count)]
     for i in range(count):
-        off = Fraction(0)
         for j in range(count):
-            if j == i:
-                continue
-            q_fwd = proposal_probability(paths[i], paths[j], n)
-            if not q_fwd:
-                continue
-            q_rev = proposal_probability(paths[j], paths[i], n)
-            t[i][j] = q_fwd * min(one, q_rev / q_fwd)
-            off += t[i][j]
-        t[i][i] = one - off
+            if j != i:
+                t[i][j] = proposal_probability(paths[i], paths[j], n)
+        t[i][i] = one - sum(t[i])
     return t

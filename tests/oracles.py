@@ -10,7 +10,10 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
+
+from pressgame.bwgraph import BWGraph
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +200,43 @@ def all_signed_permutations(n):
     for order in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
             yield tuple(s * m for s, m in zip(signs, order))
+
+
+# ---------------------------------------------------------------------------
+# Overlap graph from pairwise crossings of desire-edge intervals.
+
+@dataclass(frozen=True)
+class Interval:
+    """Positions spanned by a desire edge, 1-indexed, lo < hi."""
+
+    lo: int
+    hi: int
+
+    def covered(self):
+        return self.hi - self.lo - 1
+
+    def strictly_crosses(self, other):
+        a, b = (self, other) if self.lo < other.lo else (other, self)
+        return a.lo < b.lo < a.hi < b.hi
+
+
+def interval_overlap(seq):
+    """Overlap graph of a doubled sequence: desire edge k (labels 2k, 2k+1)
+    is black iff its interval covers an odd number of positions, and two
+    desire edges are adjacent iff their intervals strictly cross."""
+    pos = {label: idx + 1 for idx, label in enumerate(seq)}
+    spans = []
+    for k in range(len(seq) // 2):
+        a, b = pos[2 * k], pos[2 * k + 1]
+        spans.append(Interval(min(a, b), max(a, b)))
+    colors = ["B" if s.covered() % 2 else "W" for s in spans]
+    edges = [
+        (j, k)
+        for j in range(len(spans))
+        for k in range(j + 1, len(spans))
+        if spans[j].strictly_crosses(spans[k])
+    ]
+    return BWGraph.from_parts(colors, edges)
 
 
 # ---------------------------------------------------------------------------

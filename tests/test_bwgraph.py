@@ -139,6 +139,7 @@ def test_press_preserves_shape_invariants():
         for v in g.black_vertices():
             out = press(g, v)
             assert out.n == g.n
+            assert BWGraph(out.n, out.colors, out.adj) == out  # passes the checked constructor
             for u in range(out.n):
                 assert not out.has_edge(u, u)
                 for w in range(out.n):
@@ -146,6 +147,16 @@ def test_press_preserves_shape_invariants():
             # v is separated and white from now on
             assert not out.is_black(v)
             assert out.neighbors(v) == ()
+
+
+def test_constructor_rejects_broken_adjacency():
+    for n, colors, adj in [
+        (2, 0b11, (0b10, 0)),  # edge 0 -> 1 without 1 -> 0
+        (1, 0b1, (0b1,)),  # self-loop at 0
+        (2, 0b01, (0b100, 0)),  # neighbour 2 outside 0..1
+    ]:
+        with pytest.raises(ValueError):
+            BWGraph(n, colors, adj)
 
 
 def test_pressed_vertex_stays_isolated_white():

@@ -14,7 +14,6 @@ from pressgame.errors import (
     PermutationParseError,
 )
 from pressgame.permrev import (
-    Interval,
     SignedPermutation,
     apply_reversal,
     build_dr,
@@ -28,7 +27,12 @@ from pressgame.permrev import (
 )
 
 from gen import random_signed_permutation
-from oracles import all_signed_permutations, reversal_distances, union_find_components
+from oracles import (
+    all_signed_permutations,
+    interval_overlap,
+    reversal_distances,
+    union_find_components,
+)
 
 FIG1 = "+4 -1 -6 +3 +2 +5"
 FIG1_SEQ = (0, 7, 8, 2, 1, 12, 11, 5, 6, 3, 4, 9, 10, 13)
@@ -100,10 +104,10 @@ def test_dr_round_trip_recovers_permutation():
 
 
 def test_desire_edge_span_examples():
-    assert desire_edge_span(build_dr(perm("+1")), 0) == Interval(1, 2)
+    assert desire_edge_span(build_dr(perm("+1")), 0) == (1, 2)
     dr = build_dr(perm(FIG1))
-    assert desire_edge_span(dr, 0) == Interval(1, 5)
-    assert desire_edge_span(dr, 3) == Interval(2, 9)
+    assert desire_edge_span(dr, 0) == (1, 5)
+    assert desire_edge_span(dr, 3) == (2, 9)
     with pytest.raises(IndexOutOfRangeError):
         desire_edge_span(dr, 7)
 
@@ -119,6 +123,28 @@ def test_overlap_of_negated_singleton():
     g = overlap_of(perm("-1"))
     assert g.color_string() == "BB"
     assert g.edges() == [(0, 1)]
+
+
+def _assert_matches_interval_oracle(p):
+    dr = build_dr(p)
+    g, want = build_overlap(dr), interval_overlap(dr.seq)
+    assert g == want
+    assert hash(g) == hash(want)
+
+
+def test_overlap_matches_interval_oracle_exhaustive_small():
+    checked = 0
+    for n in range(1, 6):
+        for elems in all_signed_permutations(n):
+            _assert_matches_interval_oracle(SignedPermutation(elems))
+            checked += 1
+    assert checked == 4282
+
+
+def test_overlap_matches_interval_oracle_sampled_n31():
+    rng = random.Random(31)
+    for _ in range(200):
+        _assert_matches_interval_oracle(SignedPermutation(random_signed_permutation(rng, 31)))
 
 
 def test_overlap_figure_reproduction():
@@ -201,8 +227,8 @@ def test_oriented_edges_are_exactly_the_actable_ones():
         g = overlap_of(p)
         for k in range(g.n):
             if g.is_black(k):
-                q = reversal_on_desire_edge(p, k)
-                assert desire_edge_span(build_dr(q), k).covered() == 0
+                lo, hi = desire_edge_span(build_dr(reversal_on_desire_edge(p, k)), k)
+                assert hi - lo - 1 == 0
             else:
                 with pytest.raises(EdgeNotOrientedError):
                     reversal_on_desire_edge(p, k)
