@@ -3,7 +3,9 @@
 Vertices are 0-indexed.  Colors and adjacency rows are stored as bitmasks,
 so a graph is a small hashable value and pressing returns a new graph
 instead of mutating (enumeration and backtracking rely on cheap snapshots).
-Desk scale only: n is expected to stay at or below 32.
+Desk scale only: n is expected to stay at or below 32.  The press rule lives
+in one place, the in-place row kernel _press_rows, run by press on a copy of
+one graph's rows and by fold_path along a whole path on one copy.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class BWGraph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, color_mask, tuple(adj))
+        return _unchecked(n, color_mask, tuple(adj))  # symmetric by construction
 
     def is_black(self, v: int) -> bool:
         return bool(self.colors >> v & 1)
@@ -122,32 +124,50 @@ class ComponentReport:
         return any(not c.trivial and not c.oriented for c in self.components)
 
 
+def _press_rows(adj: list[int], colors: int, v: int) -> int:
+    """Press black vertex v in place on the rows adj; return the new colors."""
+    nbrs = rest = adj[v]
+    keep = ~(1 << v)
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        adj[u] = (adj[u] ^ nbrs ^ low) & keep
+        rest ^= low
+    adj[v] = 0
+    return (colors ^ nbrs) & keep
+
+
 def press(g: BWGraph, v: int) -> BWGraph:
-    """Press black vertex v: flip neighbor colors, toggle every neighbor
-    pair's connectivity, and leave v as a separated white vertex."""
+    """Press black vertex v of a copy of g: flip neighbor colors, toggle every
+    neighbor pair's connectivity, and leave v as a separated white vertex."""
     if not 0 <= v < g.n:
         raise IndexOutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
     if not g.is_black(v):
         raise PressOnWhiteError(f"vertex {v} is white")
-    nbrs = g.adj[v]
-    colors = (g.colors ^ nbrs) & ~(1 << v)
     adj = list(g.adj)
-    vbit = ~(1 << v)
-    for u in _bits(nbrs):
-        adj[u] = (adj[u] ^ (nbrs & ~(1 << u))) & vbit
-    adj[v] = 0
+    colors = _press_rows(adj, g.colors, v)
     return _unchecked(g.n, colors, tuple(adj))
+
+
+def fold_path(g: BWGraph, path: Sequence[int]) -> tuple[int | None, int, list[int]]:
+    """Press path left to right on one copy of g's rows: (bad, colors, adj), bad
+    being the first out-of-range or white position (the fold stops there) or None."""
+    n, colors, adj = g.n, g.colors, list(g.adj)
+    for k, v in enumerate(path):
+        if not 0 <= v < n or not colors >> v & 1:
+            return k, colors, adj
+        colors = _press_rows(adj, colors, v)
+    return None, colors, adj
 
 
 def apply_path(g: BWGraph, path: Sequence[int]) -> BWGraph:
     """Left fold of press over path; identifies the first invalid position."""
-    for k, v in enumerate(path):
-        if not 0 <= v < g.n or not g.is_black(v):
-            if not 0 <= v < g.n:
-                raise IndexOutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
-            raise InvalidPathError(k, v)
-        g = press(g, v)
-    return g
+    bad, colors, adj = fold_path(g, path)
+    if bad is None:
+        return _unchecked(g.n, colors, tuple(adj))
+    if not 0 <= path[bad] < g.n:
+        raise IndexOutOfRangeError(f"vertex {path[bad]} outside 0..{g.n - 1}")
+    raise InvalidPathError(bad, path[bad])
 
 
 def classify_components(g: BWGraph) -> ComponentReport:

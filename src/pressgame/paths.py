@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bwgraph import BWGraph, is_all_white_empty, is_solvable, press
+from .bwgraph import BWGraph, fold_path, is_all_white_empty, is_solvable, press
 from .errors import AlreadySolvedError, CapExceededError, UnsolvableError
 
 PressingPath = tuple[int, ...]
@@ -32,20 +32,13 @@ class PathSet:
 
 def is_valid_path(g: BWGraph, path: Sequence[int]) -> bool:
     """Each vertex must be black at its press time."""
-    for v in path:
-        if not 0 <= v < g.n or not g.is_black(v):
-            return False
-        g = press(g, v)
-    return True
+    return fold_path(g, path)[0] is None
 
 
 def is_successful_path(g: BWGraph, path: Sequence[int]) -> bool:
     """Valid and ending in the all-white empty graph."""
-    for v in path:
-        if not 0 <= v < g.n or not g.is_black(v):
-            return False
-        g = press(g, v)
-    return is_all_white_empty(g)
+    bad, colors, adj = fold_path(g, path)
+    return bad is None and not colors and not any(adj)
 
 
 def enumerate_successful(g: BWGraph, cap: int = DEFAULT_CAP) -> PathSet:
@@ -87,21 +80,25 @@ def find_safe_press(g: BWGraph) -> int:
         raise UnsolvableError("graph has a non-trivial unoriented component")
     if is_all_white_empty(g):
         raise AlreadySolvedError("graph is already the all-white empty graph")
+    return _safe_press(g)[0]
+
+
+def _safe_press(g: BWGraph) -> tuple[int, BWGraph]:
+    """(v, press(g, v)) for the lowest safe press v of a solvable, unsolved g."""
     for v in g.black_vertices():
-        if is_solvable(press(g, v)):
-            return v
+        if is_solvable(h := press(g, v)):
+            return v, h
     raise AssertionError("no safe press found on a solvable graph")
 
 
 def greedy_solve(g: BWGraph) -> PressingPath:
-    """Successful path built by iterating find_safe_press."""
+    """Successful path by iterating find_safe_press (a safe press keeps g solvable)."""
     if not is_solvable(g):
         raise UnsolvableError("graph has a non-trivial unoriented component")
     out: list[int] = []
     while not is_all_white_empty(g):
-        v = find_safe_press(g)
+        v, g = _safe_press(g)
         out.append(v)
-        g = press(g, v)
     return tuple(out)
 
 

@@ -84,6 +84,17 @@ def proposal_probability(src: PressingPath, dst: PressingPath, n: int) -> Fracti
     return Fraction(2 * matches, denom)
 
 
+def _below(getrandbits, n: int) -> int:
+    """Uniform draw from range(n), n >= 1, by the loop of CPython's randrange(n)
+    (3.10 and 3.11): n.bit_length() bits from getrandbits, redrawn while >= n.
+    The same words are read, so a seed gives the same chain trajectory."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def propose(s: ChainState) -> PressingPath:
     """Draw a candidate path by one remove-2/add-2 move."""
     path = s.current
@@ -91,17 +102,19 @@ def propose(s: ChainState) -> PressingPath:
     if L < 2:
         raise PathTooShortError(f"need at least 2 presses, path has {L}")
     n = s.graph.n
-    rng = s.rng
-    i = rng.randrange(L)
-    j = rng.randrange(L - 1)
+    if n < 1:
+        raise ValueError("cannot draw vertices of an empty graph")
+    bits = s.rng.getrandbits
+    i = _below(bits, L)
+    j = _below(bits, L - 1)
     if j >= i:
         j += 1
     lo, hi = (i, j) if i < j else (j, i)
     r = path[:lo] + path[lo + 1:hi] + path[hi + 1:]
-    slot = rng.randrange(L - 1)
-    r = r[:slot] + (rng.randrange(n),) + r[slot:]
-    slot = rng.randrange(L)
-    return r[:slot] + (rng.randrange(n),) + r[slot:]
+    slot = _below(bits, L - 1)
+    r = r[:slot] + (_below(bits, n),) + r[slot:]
+    slot = _below(bits, L)
+    return r[:slot] + (_below(bits, n),) + r[slot:]
 
 
 def mh_step(s: ChainState) -> ChainState:

@@ -13,7 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from pressgame.bwgraph import BWGraph
+from pressgame.bwgraph import BWGraph, is_all_white_empty, press
+from pressgame.paths import find_safe_press
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +78,19 @@ def naive_solvable(state):
         return any(rec(naive_press(st, v)) for v in sorted(colors) if colors[v] == "B")
 
     return rec(state)
+
+
+# ---------------------------------------------------------------------------
+# Greedy solve by the public safe-press query, re-checked at every step.
+
+def iterated_safe_press(g):
+    """The greedy path by calling find_safe_press and pressing until done."""
+    out = []
+    while not is_all_white_empty(g):
+        v = find_safe_press(g)
+        out.append(v)
+        g = press(g, v)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

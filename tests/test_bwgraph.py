@@ -159,6 +159,27 @@ def test_constructor_rejects_broken_adjacency():
             BWGraph(n, colors, adj)
 
 
+def test_from_parts_equals_checked_constructor():
+    # from_parts skips the constructor's row check; it must build the same
+    # value the checked constructor accepts, edge order and repeats aside
+    for g in all_graphs_upto(4):
+        edges = g.edges()
+        for parts in (edges, [(v, u) for u, v in reversed(edges)] + edges):
+            h = BWGraph.from_parts(g.color_string(), parts)
+            assert h == g == BWGraph(h.n, h.colors, h.adj)
+
+
+def test_from_parts_errors():
+    with pytest.raises(IndexOutOfRangeError, match=r"^edge \(0,2\) outside 0\.\.1$"):
+        BWGraph.from_parts("BB", [(0, 2)])
+    with pytest.raises(IndexOutOfRangeError, match=r"^edge \(-1,0\) outside 0\.\.1$"):
+        BWGraph.from_parts("BB", [(-1, 0)])
+    with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
+        BWGraph.from_parts("BW", [(1, 1)])
+    with pytest.raises(ValueError, match="^bad color 'X' at index 1$"):
+        BWGraph.from_parts("BX")
+
+
 def test_pressed_vertex_stays_isolated_white():
     # monotonicity: once pressed, a vertex never reappears in play
     for g in all_graphs(3):

@@ -1,5 +1,8 @@
 """Path validity/success, exhaustive enumeration, and safe-press selection."""
 
+import itertools
+import random
+
 import pytest
 
 from pressgame.bwgraph import (
@@ -9,7 +12,14 @@ from pressgame.bwgraph import (
     is_solvable,
     linear_graph,
 )
-from pressgame.errors import AlreadySolvedError, CapExceededError, UnsolvableError
+from pressgame.errors import (
+    AlreadySolvedError,
+    CapExceededError,
+    GameError,
+    IndexOutOfRangeError,
+    InvalidPathError,
+    UnsolvableError,
+)
 from pressgame.paths import (
     enumerate_successful,
     find_safe_press,
@@ -18,9 +28,17 @@ from pressgame.paths import (
     is_successful_path,
     is_valid_path,
 )
+from pressgame.permrev import SignedPermutation, build_dr, build_overlap
 
-from gen import all_colorings, all_graphs_upto
-from oracles import naive_graph, naive_solvable, naive_successful_paths
+from gen import all_colorings, all_graphs_upto, random_graph, random_signed_permutation
+from oracles import (
+    iterated_safe_press,
+    naive_graph,
+    naive_is_done,
+    naive_press,
+    naive_solvable,
+    naive_successful_paths,
+)
 
 
 def as_naive(g):
@@ -40,6 +58,59 @@ def test_is_successful_path_examples():
     assert is_successful_path(g, [1, 0])
     assert not is_successful_path(g, [1])
     assert is_successful_path(BWGraph.from_parts("WW"), [])
+
+
+def _naive_fold(g, seq):
+    """(first position that is out of range or white, or None; state reached)"""
+    state = as_naive(g)
+    for k, v in enumerate(seq):
+        if not 0 <= v < g.n or state[0][v] != "B":
+            return k, state
+        state = naive_press(state, v)
+    return None, state
+
+
+def _assert_fold_matches_naive(g, seq):
+    bad, state = _naive_fold(g, seq)
+    assert is_valid_path(g, seq) == (bad is None)
+    assert is_successful_path(g, seq) == (bad is None and naive_is_done(state))
+    if bad is None:
+        h = apply_path(g, seq)
+        assert BWGraph(h.n, h.colors, h.adj) == h
+        assert as_naive(h) == state
+        return
+    expected = InvalidPathError if 0 <= seq[bad] < g.n else IndexOutOfRangeError
+    with pytest.raises(GameError) as exc:
+        apply_path(g, seq)
+    assert type(exc.value) is expected
+    if expected is InvalidPathError:
+        assert (exc.value.position, exc.value.vertex) == (bad, seq[bad])
+
+
+def test_path_fold_matches_naive_presses_exhaustive_small():
+    # every graph with n <= 3, every sequence of length <= 4 over -1..n
+    for g in all_graphs_upto(3):
+        for length in range(5):
+            for seq in itertools.product(range(-1, g.n + 1), repeat=length):
+                _assert_fold_matches_naive(g, seq)
+
+
+def test_path_fold_matches_naive_presses_sampled():
+    # random walks over black vertices, half of them with one position
+    # overwritten, so that successes and failures at every depth occur
+    rng = random.Random(8)
+    for _ in range(500):
+        g = random_graph(rng, rng.randint(1, 8))
+        state, seq = as_naive(g), []
+        for _ in range(rng.randint(0, g.n)):
+            blacks = [v for v, c in state[0].items() if c == "B"]
+            if not blacks:
+                break
+            seq.append(rng.choice(blacks))
+            state = naive_press(state, seq[-1])
+        if seq and rng.random() < 0.5:
+            seq[rng.randrange(len(seq))] = rng.randint(-1, g.n)
+        _assert_fold_matches_naive(g, seq)
 
 
 def test_enumerate_successful_examples():
@@ -122,6 +193,20 @@ def test_greedy_solve_examples():
     assert greedy_solve(linear_graph("BBB")) == (0, 2, 1)
     assert greedy_solve(BWGraph.from_parts("WW")) == ()
     assert greedy_solve(linear_graph("WBW")) == (1, 0)
+
+
+def test_greedy_solve_matches_iterated_find_safe_press():
+    graphs = [g for g in all_graphs_upto(4) if is_solvable(g)]
+    rng = random.Random(31)
+    sampled = 0
+    while sampled < 50:
+        dr = build_dr(SignedPermutation(random_signed_permutation(rng, 31)))
+        g = build_overlap(dr)
+        if is_solvable(g):
+            graphs.append(g)
+            sampled += 1
+    for g in graphs:
+        assert greedy_solve(g) == iterated_safe_press(g)
 
 
 def test_greedy_solve_is_always_successful():

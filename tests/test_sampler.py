@@ -5,12 +5,13 @@ from itertools import product
 
 import pytest
 
-from pressgame.bwgraph import linear_graph
+from pressgame.bwgraph import BWGraph, linear_graph
 from pressgame.errors import PathTooShortError, UnsolvableError
 from pressgame.meta import _UnionFind
 from pressgame.paths import enumerate_successful, is_successful_path
 from pressgame.sampler import (
     ChainState,
+    _below,
     exact_transition_matrix,
     mh_step,
     proposal_probability,
@@ -80,6 +81,22 @@ def test_short_paths_cannot_propose():
         proposal_probability((0,), (1,), 2)
     with pytest.raises(PathTooShortError):
         propose(make_state("B", (0,)))
+    empty = ChainState(graph=BWGraph(0, 0, ()), current=(0, 0), rng=random.Random(0), seed=0)
+    with pytest.raises(ValueError):
+        propose(empty)
+
+
+def test_below_reads_the_same_stream_as_randrange():
+    # widths 1..70 and every power-of-two boundary up to 2^40, where the
+    # rejection loop's word size k = n.bit_length() changes
+    sizes = list(range(1, 71)) + [
+        m for k in range(7, 41) for m in (2**k - 1, 2**k, 2**k + 1)
+    ]
+    for seed in range(5):
+        mine, ref = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            got = [_below(mine.getrandbits, n) for _ in range(1_000)]
+            assert got == [ref.randrange(n) for _ in range(1_000)]
 
 
 def test_propose_draws_are_realizable():
@@ -219,9 +236,10 @@ def test_chain_is_irreducible_on_linear_graphs():
 
 
 # run_chain(linear_graph(colors), steps, seed=seed) as recorded from the
-# sampler that applied the exact Fraction Hastings ratio.  The proposal is
-# symmetric, so that ratio is always 1 and accepting every successful
-# candidate must reproduce the same RNG stream, histogram and accept count.
+# sampler that applied the exact Fraction Hastings ratio (the last case from
+# its randrange-drawing successor).  The proposal is symmetric, so that
+# ratio is always 1, and the draws read the same bits, so every case must
+# reproduce the same RNG stream, histogram and accept count.
 GOLDEN_CHAINS = [
     ("BBB", 1, 2_000, 145, {(0, 2, 1): 981, (2, 0, 1): 819}),
     ("BWBB", 0, 3_000, 62, {
@@ -237,6 +255,12 @@ GOLDEN_CHAINS = [
         (1, 0, 3, 2): 207, (1, 0, 3, 4): 535, (1, 3, 0, 2): 263, (1, 3, 0, 4): 148,
         (1, 3, 4, 0): 181, (1, 3, 4, 2): 120, (3, 1, 0, 2): 247, (3, 1, 0, 4): 165,
         (3, 1, 4, 0): 324, (3, 1, 4, 2): 287, (3, 4, 1, 0): 117, (3, 4, 1, 2): 106,
+    }),
+    # n = 9 and L = 8: four-bit vertex and slot draws, unlike the cases above
+    ("BWBWWWWWW", 9, 6_000, 10, {
+        (0, 2, 3, 4, 5, 6, 7, 1): 426, (2, 0, 3, 4, 5, 6, 7, 1): 500,
+        (2, 3, 4, 0, 5, 6, 7, 1): 808, (2, 3, 4, 5, 6, 0, 7, 1): 181,
+        (2, 3, 4, 5, 6, 7, 0, 1): 3248, (2, 3, 4, 5, 6, 7, 8, 1): 237,
     }),
 ]
 
