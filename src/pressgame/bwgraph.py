@@ -109,21 +109,6 @@ def _unchecked(n: int, colors: int, adj: tuple[int, ...]) -> BWGraph:
     return g
 
 
-@dataclass(frozen=True)
-class Component:
-    vertices: tuple[int, ...]
-    trivial: bool
-    oriented: bool
-
-
-@dataclass(frozen=True)
-class ComponentReport:
-    components: tuple[Component, ...]
-
-    def has_nontrivial_unoriented(self) -> bool:
-        return any(not c.trivial and not c.oriented for c in self.components)
-
-
 def _press_rows(adj: list[int], colors: int, v: int) -> int:
     """Press black vertex v in place on the rows adj; return the new colors."""
     nbrs = rest = adj[v]
@@ -170,38 +155,36 @@ def apply_path(g: BWGraph, path: Sequence[int]) -> BWGraph:
     raise InvalidPathError(bad, path[bad])
 
 
-def classify_components(g: BWGraph) -> ComponentReport:
-    """Connected components with trivial (size 1) and oriented (has a black
-    vertex) flags."""
-    seen = 0
-    out = []
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = 1 << start
-        while frontier:
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        members = tuple(_bits(comp))
-        out.append(
-            Component(
-                vertices=members,
-                trivial=len(members) == 1,
-                oriented=bool(comp & g.colors),
-            )
-        )
-    return ComponentReport(tuple(out))
+def _edge_components(g: BWGraph) -> Iterator[int]:
+    """Yield the vertex bitmask of each connected component that has an edge,
+    in order of lowest vertex; isolated vertices never start a walk."""
+    adj = g.adj
+    left = 0
+    for v, row in enumerate(adj):
+        if row:
+            left |= 1 << v
+    while left:
+        comp = todo = left & -left
+        while todo:
+            low = todo & -todo
+            new = adj[low.bit_length() - 1] & ~comp
+            comp |= new
+            todo = (todo ^ low) | new
+        left &= ~comp
+        yield comp
+
+
+def classify_components(g: BWGraph) -> tuple[int, ...]:
+    """Vertex bitmasks of the components that have an edge: the walk behind
+    is_solvable, kept public so bench/tracing.py can trace it by name."""
+    return tuple(_edge_components(g))
 
 
 def is_solvable(g: BWGraph) -> bool:
-    """True iff g has no non-trivial unoriented component, which is exactly
-    when the all-white empty graph is reachable."""
-    return not classify_components(g).has_nontrivial_unoriented()
+    """True iff every component with an edge has a black vertex, which is
+    exactly when the all-white empty graph is reachable; stops at the first
+    component with none."""
+    return all(c & g.colors for c in _edge_components(g))
 
 
 def is_all_white_empty(g: BWGraph) -> bool:

@@ -44,8 +44,9 @@ def is_successful_path(g: BWGraph, path: Sequence[int]) -> bool:
 def enumerate_successful(g: BWGraph, cap: int = DEFAULT_CAP) -> PathSet:
     """Collect every successful pressing path by exhaustive DFS.
 
-    Raises Unsolvable when no successful path can exist and CapExceeded
-    (never a silent truncation) when more than cap paths are found.
+    Raises UnsolvableError when no successful path can exist and
+    CapExceededError (never a silent truncation) when more than cap paths
+    are found.
     """
     if not is_solvable(g):
         raise UnsolvableError("graph has a non-trivial unoriented component")
@@ -92,7 +93,8 @@ def _safe_press(g: BWGraph) -> tuple[int, BWGraph]:
 
 
 def greedy_solve(g: BWGraph) -> PressingPath:
-    """Successful path by iterating find_safe_press (a safe press keeps g solvable)."""
+    """Successful path by taking the lowest safe press until g is solved (a
+    safe press keeps g solvable, so the checks of find_safe_press run once)."""
     if not is_solvable(g):
         raise UnsolvableError("graph has a non-trivial unoriented component")
     out: list[int] = []

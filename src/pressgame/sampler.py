@@ -6,8 +6,7 @@ result only if it is again a successful pressing path.  No Hastings
 correction is needed: q(P->Q) counts the deletion results P and Q share,
 over a denominator fixed by the path length and vertex count, so q is
 symmetric and the stationary distribution is uniform over the path set.
-proposal_probability gives q exactly, for exact_transition_matrix and the
-detailed-balance tests.
+proposal_probability gives q exactly, for the detailed-balance tests.
 
 Length-0 and length-1 paths admit no remove-2/add-2 move; those chains
 are single-state by construction and run_chain reports them as such.
@@ -181,29 +180,3 @@ def tv_distance(hist: dict[PressingPath, int] | Counter, ps: PathSet) -> float:
         raise ValueError("histogram is empty")
     u = 1.0 / len(ps.paths)
     return 0.5 * sum(abs(hist.get(p, 0) / total - u) for p in ps.paths)
-
-
-def exact_transition_matrix(ps: PathSet) -> list[list[Fraction]]:
-    """MH transition matrix over ps.paths in exact rational arithmetic.
-
-    Row i: off-diagonal entries are q(i->j), since mh_step accepts every
-    proposal that lands on a successful path; the diagonal absorbs the
-    rest.  The matrix is symmetric exactly when q is, which is what makes
-    the uniform distribution stationary.  Path sets with common length
-    below 2 yield the identity matrix.
-    """
-    if not ps.paths:
-        raise EmptyPathSetError("transition matrix needs at least one path")
-    paths = ps.paths
-    count = len(paths)
-    one = Fraction(1)
-    if ps.common_length < 2:
-        return [[one if i == j else Fraction(0) for j in range(count)] for i in range(count)]
-    n = ps.graph.n
-    t = [[Fraction(0)] * count for _ in range(count)]
-    for i in range(count):
-        for j in range(count):
-            if j != i:
-                t[i][j] = proposal_probability(paths[i], paths[j], n)
-        t[i][i] = one - sum(t[i])
-    return t

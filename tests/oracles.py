@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from pressgame.bwgraph import BWGraph, is_all_white_empty, press
-from pressgame.paths import find_safe_press
+from pressgame.errors import EmptyPathSetError
+from pressgame.paths import PathSet, find_safe_press
+from pressgame.sampler import proposal_probability
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +115,16 @@ def union_find_components(n, edges):
     for v in range(n):
         groups.setdefault(find(v), []).append(v)
     return sorted(tuple(sorted(g)) for g in groups.values())
+
+
+def union_find_solvable(g):
+    """The known solvability rule: every component of two or more vertices
+    has a black vertex."""
+    return all(
+        any(g.is_black(v) for v in comp)
+        for comp in union_find_components(g.n, g.edges())
+        if len(comp) > 1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,3 +285,32 @@ def brute_force_proposal(src, dst, n):
                             if r1[:s2] + (lab2,) + r1[s2:] == dst:
                                 hits += 1
     return Fraction(hits, total)
+
+
+# ---------------------------------------------------------------------------
+# The chain's exact transition matrix, from the exact proposal probability.
+
+def exact_transition_matrix(ps: PathSet) -> list[list[Fraction]]:
+    """MH transition matrix over ps.paths in exact rational arithmetic.
+
+    Row i: off-diagonal entries are q(i->j), since mh_step accepts every
+    proposal that lands on a successful path; the diagonal absorbs the
+    rest.  The matrix is symmetric exactly when q is, which is what makes
+    the uniform distribution stationary.  Path sets with common length
+    below 2 yield the identity matrix.
+    """
+    if not ps.paths:
+        raise EmptyPathSetError("transition matrix needs at least one path")
+    paths = ps.paths
+    count = len(paths)
+    one = Fraction(1)
+    if ps.common_length < 2:
+        return [[one if i == j else Fraction(0) for j in range(count)] for i in range(count)]
+    n = ps.graph.n
+    t = [[Fraction(0)] * count for _ in range(count)]
+    for i in range(count):
+        for j in range(count):
+            if j != i:
+                t[i][j] = proposal_probability(paths[i], paths[j], n)
+        t[i][i] = one - sum(t[i])
+    return t

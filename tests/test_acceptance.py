@@ -23,10 +23,10 @@ from pressgame.permrev import (
     reversal_distance_hurdle_free,
     reversal_on_desire_edge,
 )
-from pressgame.sampler import exact_transition_matrix, run_chain
+from pressgame.sampler import run_chain
 
 from gen import all_graphs_upto, random_graph, random_signed_permutation
-from oracles import all_signed_permutations, reversal_distances
+from oracles import all_signed_permutations, exact_transition_matrix, reversal_distances
 from test_permrev import FIG1, FIG1_COLORS, FIG1_EDGES
 
 

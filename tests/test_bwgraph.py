@@ -1,6 +1,7 @@
 """Press semantics, components, solvability, and the graph text format."""
 
 import itertools
+import random
 
 import pytest
 
@@ -25,9 +26,11 @@ from pressgame.errors import (
     PressOnWhiteError,
     SelfLoopError,
 )
+from pressgame.paths import greedy_solve
+from pressgame.permrev import SignedPermutation, build_dr, build_overlap
 
 from gen import all_graphs, all_graphs_upto
-from oracles import naive_graph, naive_press, union_find_components
+from oracles import naive_graph, naive_press, union_find_components, union_find_solvable
 
 
 def as_naive(g):
@@ -88,20 +91,13 @@ def test_apply_path_reports_first_bad_position():
 
 
 def test_classify_components_examples():
-    empty3 = BWGraph.from_parts("WWW")
-    rep = classify_components(empty3)
-    assert len(rep.components) == 3
-    assert all(c.trivial and not c.oriented for c in rep.components)
-
-    rep = classify_components(linear_graph("WBW"))
-    assert len(rep.components) == 1
-    assert not rep.components[0].trivial
-    assert rep.components[0].oriented
-
+    assert classify_components(BWGraph.from_parts("WWW")) == ()
+    assert classify_components(linear_graph("WBW")) == (0b111,)
     two = BWGraph.from_parts("BBWW", [(0, 1), (2, 3)])
-    rep = classify_components(two)
-    flags = sorted((c.trivial, c.oriented) for c in rep.components)
-    assert flags == [(False, False), (False, True)]
+    assert classify_components(two) == (0b0011, 0b1100)
+    # isolated vertices 1 and 3 start no walk; a component's mask keeps its gaps
+    gapped = BWGraph.from_parts("WWBWW", [(0, 4), (2, 4)])
+    assert classify_components(gapped) == (0b10101,)
 
 
 def test_is_solvable_examples():
@@ -219,14 +215,49 @@ def test_linear_self_reducibility():
 
 
 def test_classify_components_matches_union_find():
-    for g in all_graphs_upto(4):
-        rep = classify_components(g)
-        got = sorted(c.vertices for c in rep.components)
-        assert got == union_find_components(g.n, g.edges())
-        # flags recomputable from the graph
-        for c in rep.components:
-            assert c.trivial == (len(c.vertices) == 1)
-            assert c.oriented == any(g.is_black(v) for v in c.vertices)
+    count = 0
+    for g in all_graphs_upto(5):
+        want = tuple(
+            sum(1 << v for v in comp)
+            for comp in union_find_components(g.n, g.edges())
+            if len(comp) > 1
+        )
+        assert classify_components(g) == want
+        assert is_solvable(g) == union_find_solvable(g)
+        count += 1
+    assert count == 33_866
+
+
+def test_is_solvable_matches_union_find_rule_on_greedy_press_states():
+    # the reversal_sort bench family: seed 3, 128 hurdle-free n = 31 inputs;
+    # at each state of the greedy solve, every black press is checked and the
+    # lowest solvable one must be the greedy step
+    rng = random.Random(3)
+    states = 0
+    solved = 0
+    while solved < 128:
+        order = list(range(1, 32))
+        rng.shuffle(order)
+        p = SignedPermutation(tuple(m if rng.random() < 0.5 else -m for m in order))
+        h = build_overlap(build_dr(p))
+        ok = is_solvable(h)
+        assert ok == union_find_solvable(h)
+        if not ok:
+            continue
+        solved += 1
+        for step in greedy_solve(h):
+            safe = []
+            for v in h.black_vertices():
+                nxt = press(h, v)
+                states += 1
+                ok = is_solvable(nxt)
+                assert ok == union_find_solvable(nxt)
+                if ok:
+                    safe.append(v)
+            assert safe[0] == step
+            h = press(h, step)
+        assert is_all_white_empty(h)
+    assert states == 32_752
 
 
 def test_graph_text_round_trip():

@@ -98,6 +98,19 @@ def test_metagraph_exit_tracks_connectivity(capsys, tmp_path):
     assert dot.read_text().startswith("graph M {")
 
 
+def test_metagraph_n6_witness_needs_threshold_4(capsys, tmp_path):
+    src = tmp_path / "witness.txt"
+    src.write_text("6\nWWWWBB\n0 1\n1 2\n1 3\n2 4\n3 5\n4 5\n")
+    code, out, _ = run(capsys, "metagraph", str(src), "--threshold", "3")
+    assert (code, out) == (
+        1, "2 paths, 0 edges at threshold 3: DISCONNECTED (min connecting threshold 4)\n"
+    )
+    code, out, _ = run(capsys, "metagraph", str(src), "--threshold", "4")
+    assert (code, out) == (
+        0, "2 paths, 1 edges at threshold 4: connected (min connecting threshold 4)\n"
+    )
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys, "press", "linear:WBW")[0] == 2  # no vertices

@@ -108,6 +108,19 @@ def test_min_connect_threshold_examples():
         assert connectivity(enumerate_successful(linear_graph(colors)), 0)[0] == kmin
 
 
+# The general threshold 4 is tight at n = 6: this graph has only the paths
+# 4 2 1 0 5 3 and 5 3 1 0 4 2, whose LCS is 2, so they first connect at 6 - 2.
+N6_WITNESS = BWGraph.from_parts("WWWWBB", [(0, 1), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5)])
+
+
+def test_n6_witness_needs_threshold_4():
+    ps = enumerate_successful(N6_WITNESS)
+    assert ps.paths == ((4, 2, 1, 0, 5, 3), (5, 3, 1, 0, 4, 2))
+    assert connectivity(ps, 3) == (4, ((0,), (1,)))
+    assert connectivity(ps, 4) == (4, ((0, 1),))
+    assert connectivity(ps, 3) == pairwise_lcs_gate(ps, 3)
+
+
 def test_gate_edges_match_pairwise_lcs():
     for g in all_graphs_upto(4):
         if not is_solvable(g):

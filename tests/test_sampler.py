@@ -12,7 +12,6 @@ from pressgame.paths import enumerate_successful, is_successful_path
 from pressgame.sampler import (
     ChainState,
     _below,
-    exact_transition_matrix,
     mh_step,
     proposal_probability,
     propose,
@@ -21,7 +20,7 @@ from pressgame.sampler import (
 )
 
 from gen import all_colorings
-from oracles import brute_force_proposal
+from oracles import brute_force_proposal, exact_transition_matrix
 
 import random
 
