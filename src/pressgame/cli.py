@@ -198,14 +198,8 @@ def cmd_metagraph(args) -> tuple[int, dict, str]:
     return (0 if connected else 1), payload, args.graph
 
 
-def cmd_verify_linear(args) -> tuple[int, dict, str]:
-    r = verify_linear_family(args.n_max, args.threshold)
-    _print_sweep(r)
-    return _VERDICT_EXIT[r.verdict], _sweep_payload(r), r.family
-
-
-def cmd_verify_general(args) -> tuple[int, dict, str]:
-    r = verify_general_family(args.n_max, args.threshold, args.cap)
+def cmd_verify(args) -> tuple[int, dict, str]:
+    r = args.sweep(args.n_max, args.threshold, args.cap)
     _print_sweep(r)
     return _VERDICT_EXIT[r.verdict], _sweep_payload(r), r.family
 
@@ -271,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--threshold", type=int, default=2)
-    p.set_defaults(handler=cmd_verify_linear)
+    p.set_defaults(handler=cmd_verify, sweep=verify_linear_family, cap=DEFAULT_CAP)
 
     p = add_parser(
         "verify-general", help="metagraph connectivity over all labeled graphs"
@@ -279,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--threshold", type=int, default=4)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.set_defaults(handler=cmd_verify_general)
+    p.set_defaults(handler=cmd_verify, sweep=verify_general_family)
 
     p = add_parser("sample", help="MH chain over the successful paths")
     p.add_argument("graph")

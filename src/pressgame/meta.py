@@ -4,7 +4,9 @@ The metagraph of a path set has one vertex per successful path and an edge
 between two paths when their longest common subsequence is at most k below
 the common length.  Sweeps check connectivity of that graph across whole
 graph families: all linear graphs up to n_max at threshold 2, and all
-labeled graphs up to n_max at threshold 4.
+labeled graphs up to n_max at threshold 4.  Instances come by n, then
+edge list (labeled graphs: ascending edge mask over combinations(range(n),
+2)), then colour mask ascending, bit v set meaning vertex v is black.
 
 Edges are decided without comparing pairs.  Two paths of common length L
 have an LCS of at least L - k exactly when they share a subsequence of
@@ -18,34 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bwgraph import BWGraph, is_solvable, linear_graph
+from .bwgraph import BWGraph, is_solvable
 from .errors import CapExceededError, EmptyPathSetError
 from .paths import DEFAULT_CAP, PathSet, PressingPath, enumerate_successful, format_path
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.count = n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-            self.count -= 1
-
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        groups: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            groups.setdefault(self.find(x), []).append(x)
-        return tuple(tuple(g) for g in sorted(groups.values()))
 
 
 @dataclass(frozen=True)
@@ -85,9 +62,7 @@ def build_metagraph(ps: PathSet, k: int) -> Metagraph:
     return Metagraph(vertices=ps, threshold=k, edges=tuple(sorted(edges)))
 
 
-def connectivity(
-    ps: PathSet, k: int
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def connectivity(ps: PathSet, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(min connecting threshold, metagraph components at threshold k).
 
     The edges at threshold d include those at d - 1, so the buckets for
@@ -96,18 +71,32 @@ def connectivity(
     the empty subsequence.
     """
     _check_gate(ps, k)
-    uf = _UnionFind(len(ps.paths))
+    parent = list(range(len(ps.paths)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    count = len(parent)
     at_k = None
     d = 0
     while True:
         for first, *rest in _buckets(ps, d):
+            root = find(first)
             for i in rest:
-                uf.union(first, i)
-            if uf.count == 1:
+                if (r := find(i)) != root:
+                    parent[r] = root
+                    count -= 1
+            if count == 1:
                 break
         if d == k:
-            at_k = uf.components()
-        if uf.count == 1:
+            groups: dict[int, list[int]] = {}
+            for x in range(len(parent)):
+                groups.setdefault(find(x), []).append(x)
+            at_k = tuple(tuple(g) for g in sorted(groups.values()))
+        if count == 1:
             break
         d += 1
     if at_k is None:  # connected below k, so one component at k
@@ -171,29 +160,32 @@ def verify_instance(
     return stats, ps, components
 
 
-def _sweep(
-    family: str, graphs, threshold: int, cap: int
-) -> SweepReport:
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+def _sweep(label: str, topologies, n_max: int, threshold: int, cap: int) -> SweepReport:
+    """Gate every solvable graph on 1..n_max vertices whose edge list is in
+    topologies(n): by n, then edge list in order, then colour mask ascending
+    (bit v set means vertex v is black).  _check_gate rejects k < 0."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     stats: list[InstanceStats] = []
     failures: list[SweepFailure] = []
     incomplete: list[tuple[BWGraph, int]] = []
-    for g in graphs:
-        if not is_solvable(g):
-            continue
-        try:
-            row, ps, components = verify_instance(g, threshold, cap)
-        except CapExceededError as exc:
-            incomplete.append((g, exc.count_so_far))
-            continue
-        stats.append(row)
-        if not row.connected:
-            failures.append(
-                SweepFailure(graph=g, path_set=ps, components=components)
-            )
+    for n in range(1, n_max + 1):
+        for edges in topologies(n):
+            adj = BWGraph.from_parts("W" * n, edges).adj
+            for colors in range(1 << n):
+                g = BWGraph(n, colors, adj)
+                if not is_solvable(g):
+                    continue
+                try:
+                    row, ps, components = verify_instance(g, threshold, cap)
+                except CapExceededError as exc:
+                    incomplete.append((g, exc.count_so_far))
+                    continue
+                stats.append(row)
+                if not row.connected:
+                    failures.append(SweepFailure(g, ps, components))
     return SweepReport(
-        family=family,
+        family=f"{label}, n <= {n_max}",
         threshold=threshold,
         instances_checked=len(stats),
         stats=tuple(stats),
@@ -202,46 +194,26 @@ def _sweep(
     )
 
 
-def _all_colorings(n: int):
-    # mask bit i set = vertex i black; ascending mask order fixes the
-    # instance order of sweep reports
-    for mask in range(1 << n):
-        yield "".join("B" if mask >> i & 1 else "W" for i in range(n))
-
-
-def _linear_family(n_max: int):
-    for n in range(1, n_max + 1):
-        for colors in _all_colorings(n):
-            yield linear_graph(colors)
-
-
-def _labeled_family(n_max: int):
-    for n in range(1, n_max + 1):
-        pairs = list(combinations(range(n), 2))
-        for edge_mask in range(1 << len(pairs)):
-            edges = [pairs[b] for b in range(len(pairs)) if edge_mask >> b & 1]
-            for colors in _all_colorings(n):
-                yield BWGraph.from_parts(colors, edges)
+def _edge_sets(n: int):
+    """Every edge set on vertices 0..n-1, in ascending edge-mask order."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield [p for b, p in enumerate(pairs) if mask >> b & 1]
 
 
 def verify_linear_family(
     n_max: int, threshold: int = 2, cap: int = DEFAULT_CAP
 ) -> SweepReport:
     """Connectivity of every solvable linear graph's metagraph up to n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    family = f"linear graphs, n <= {n_max}"
-    return _sweep(family, _linear_family(n_max), threshold, cap)
+    path = [(i, i + 1) for i in range(n_max - 1)]
+    return _sweep("linear graphs", lambda n: [path[: n - 1]], n_max, threshold, cap)
 
 
 def verify_general_family(
     n_max: int, threshold: int = 4, cap: int = DEFAULT_CAP
 ) -> SweepReport:
     """Connectivity over all labeled graphs (every topology and coloring)."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    family = f"all labeled graphs, n <= {n_max}"
-    return _sweep(family, _labeled_family(n_max), threshold, cap)
+    return _sweep("all labeled graphs", _edge_sets, n_max, threshold, cap)
 
 
 def metagraph_to_dot(m: Metagraph, name: str = "M") -> str:

@@ -48,6 +48,8 @@ def enumerate_successful(g: BWGraph, cap: int = DEFAULT_CAP) -> PathSet:
     CapExceededError (never a silent truncation) when more than cap paths
     are found.
     """
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     if not is_solvable(g):
         raise UnsolvableError("graph has a non-trivial unoriented component")
     found: list[PressingPath] = []

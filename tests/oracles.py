@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from pressgame.bwgraph import BWGraph, is_all_white_empty, press
+from pressgame.bwgraph import BWGraph, is_all_white_empty, linear_graph, press
 from pressgame.errors import EmptyPathSetError
 from pressgame.paths import PathSet, find_safe_press
 from pressgame.sampler import proposal_probability
@@ -80,6 +80,32 @@ def naive_solvable(state):
         return any(rec(naive_press(st, v)) for v in sorted(colors) if colors[v] == "B")
 
     return rec(state)
+
+
+# ---------------------------------------------------------------------------
+# The sweep families as colour strings parsed back into graphs (the sweeps
+# build each edge list's rows once and walk the colour masks).
+
+def color_strings(n: int):
+    # mask bit i set = vertex i black; ascending mask order fixes the
+    # instance order of sweep reports
+    for mask in range(1 << n):
+        yield "".join("B" if mask >> i & 1 else "W" for i in range(n))
+
+
+def linear_family(n_max: int):
+    for n in range(1, n_max + 1):
+        for colors in color_strings(n):
+            yield linear_graph(colors)
+
+
+def labeled_family(n_max: int):
+    for n in range(1, n_max + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for edge_mask in range(1 << len(pairs)):
+            edges = [pairs[b] for b in range(len(pairs)) if edge_mask >> b & 1]
+            for colors in color_strings(n):
+                yield BWGraph.from_parts(colors, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end command behavior: output, exit codes, reports, files."""
 
+import hashlib
 import json
 
 import pytest
@@ -124,6 +125,16 @@ def test_usage_errors_exit_2(capsys):
         assert run(capsys, *argv) == (
             2, "", "error: threshold must be non-negative\n"
         )
+    for argv, message in (
+        (("enumerate", "linear:BWB", "--cap", "0"), "cap must be at least 1"),
+        (("verify-general", "--n-max", "2", "--cap", "-1"), "cap must be at least 1"),
+        (("verify-linear", "--n-max", "0"), "n_max must be at least 1"),
+        (("verify-general", "--n-max", "0"), "n_max must be at least 1"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    # verify-linear has no --cap option: it sweeps at the default cap
+    code, out, err = run(capsys, "verify-linear", "--n-max", "2", "--cap", "1")
+    assert (code, out) == (2, "") and "unrecognized arguments: --cap 1" in err
 
 
 def test_help_and_version_exit_0(capsys):
@@ -214,6 +225,24 @@ def test_sweep_report_verdict_field(capsys, tmp_path):
     assert doc["payload"]["instances_checked"] == 12
     assert len(doc["payload"]["stats"]) == 12
     assert all(row["min_threshold"] <= 2 for row in doc["payload"]["stats"])
+
+
+@pytest.mark.parametrize(
+    "argv, instances, digest",
+    [
+        (("verify-linear", "--n-max", "6"), 121, "95a8049056a5040b"),
+        (("verify-general", "--n-max", "3"), 63, "4dfdf4a422af751b"),
+    ],
+)
+def test_sweep_payload_is_pinned(capsys, tmp_path, argv, instances, digest):
+    # rows, their order and every field; the digests were taken from sweeps
+    # over the colour-string families that tests/oracles.py keeps
+    r = tmp_path / "sweep.json"
+    assert run(capsys, *argv, "--report", str(r))[0] == 0
+    payload = json.loads(r.read_text())["payload"]
+    assert payload["instances_checked"] == len(payload["stats"]) == instances
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_verify_general_cap_marks_incomplete(capsys, tmp_path):

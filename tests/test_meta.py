@@ -5,7 +5,6 @@ import pytest
 from pressgame.bwgraph import BWGraph, is_solvable, linear_graph
 from pressgame.errors import EmptyPathSetError
 from pressgame.meta import (
-    _linear_family,
     build_metagraph,
     connectivity,
     metagraph_to_dot,
@@ -17,7 +16,9 @@ from pressgame.paths import PathSet, enumerate_successful
 
 from gen import all_graphs_upto
 from oracles import (
+    labeled_family,
     lcs_distinct,
+    linear_family,
     pairwise_lcs_gate,
     recursive_lcs,
     union_find_components,
@@ -162,7 +163,7 @@ def test_connectivity_matches_pairwise_lcs_gate():
         for k in range(ps.common_length + 1):
             assert connectivity(ps, k) == pairwise_lcs_gate(ps, k)
     checked = 0
-    for g in _linear_family(7):  # the linear sweep family at its threshold
+    for g in linear_family(7):  # the linear sweep family at its threshold
         if not is_solvable(g):
             continue
         ps = enumerate_successful(g)
@@ -201,6 +202,23 @@ def test_cap_marks_sweep_incomplete_not_failed():
     assert [g.color_string() for g, _ in r.incomplete] == ["BB"]
     assert r.incomplete[0][1] == 2
     assert r.instances_checked == 4 and not r.failures
+
+
+def test_sweep_order_matches_the_color_string_families():
+    # instances come by n, then edge list, then colour mask ascending,
+    # exactly the order of the families built from colour strings
+    def solvable(graphs):
+        return [g for g in graphs if is_solvable(g)]
+
+    general = [row.graph for row in verify_general_family(4).stats]
+    assert general == solvable(labeled_family(4))
+    linear = [row.graph for row in verify_linear_family(7).stats]
+    assert len(linear) == 248
+    assert linear == solvable(linear_family(7))
+    capped = verify_linear_family(3, cap=1).incomplete
+    assert [g for g, _ in capped] == [
+        g for g in solvable(linear_family(3)) if len(enumerate_successful(g)) > 1
+    ]
 
 
 def test_verify_general_family_small():

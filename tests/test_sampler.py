@@ -7,7 +7,6 @@ import pytest
 
 from pressgame.bwgraph import BWGraph, linear_graph
 from pressgame.errors import PathTooShortError, UnsolvableError
-from pressgame.meta import _UnionFind
 from pressgame.paths import enumerate_successful, is_successful_path
 from pressgame.sampler import (
     ChainState,
@@ -20,7 +19,7 @@ from pressgame.sampler import (
 )
 
 from gen import all_colorings
-from oracles import brute_force_proposal, exact_transition_matrix
+from oracles import brute_force_proposal, exact_transition_matrix, union_find_components
 
 import random
 
@@ -225,12 +224,13 @@ def test_chain_is_irreducible_on_linear_graphs():
                 if count > 1:
                     stuck.append(colors)
                 continue
-            uf = _UnionFind(count)
-            for i in range(count):
-                for j in range(i + 1, count):
-                    if proposal_probability(ps.paths[i], ps.paths[j], g.n) > 0:
-                        uf.union(i, j)
-            assert uf.count == 1, colors
+            edges = [
+                (i, j)
+                for i in range(count)
+                for j in range(i + 1, count)
+                if proposal_probability(ps.paths[i], ps.paths[j], g.n) > 0
+            ]
+            assert len(union_find_components(count, edges)) == 1, colors
     assert stuck == ["BB"]
 
 
