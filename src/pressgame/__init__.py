@@ -3,7 +3,7 @@ by reversals, and uniform sampling over successful pressing paths."""
 
 __version__ = "0.1.0"
 
-from .bwgraph import BWGraph, linear_graph, parse_graph_source, press
+from .bwgraph import BWGraph, linear_graph, press
 from .meta import build_metagraph, verify_general_family, verify_linear_family
 from .paths import enumerate_successful, find_safe_press, greedy_solve
 from .permrev import (
@@ -23,7 +23,6 @@ __all__ = [
     "find_safe_press",
     "greedy_solve",
     "linear_graph",
-    "parse_graph_source",
     "parse_signed_permutation",
     "press",
     "reversal_distance_hurdle_free",

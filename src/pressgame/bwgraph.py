@@ -83,20 +83,8 @@ class BWGraph:
     def black_vertices(self) -> tuple[int, ...]:
         return tuple(_bits(self.colors))
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.adj[v]))
-
-    def degree(self, v: int) -> int:
-        return bin(self.adj[v]).count("1")
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v]
-
-    def edge_count(self) -> int:
-        return sum(bin(m).count("1") for m in self.adj) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
 
 def _unchecked(n: int, colors: int, adj: tuple[int, ...]) -> BWGraph:
@@ -242,7 +230,6 @@ def parse_graph(text: str) -> BWGraph:
     except ValueError as exc:
         raise GraphParseError(no, str(exc)) from None
     adj = [0] * n
-    seen: set[frozenset[int]] = set()
     for no, ln in body[2:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -255,10 +242,8 @@ def parse_graph(text: str) -> BWGraph:
             raise GraphParseError(no, f"endpoint outside 0..{n - 1} in {ln!r}")
         if u == v:
             raise SelfLoopError(no, f"self-loop at vertex {u}")
-        key = frozenset((u, v))
-        if key in seen:
+        if adj[u] >> v & 1:
             raise DuplicateEdgeError(no, f"duplicate edge {u} {v}")
-        seen.add(key)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return BWGraph(n, colors, tuple(adj))
@@ -275,12 +260,6 @@ def parse_linear_shorthand(text: str) -> BWGraph | None:
     return linear_graph(stripped[len(LINEAR_PREFIX):])
 
 
-def parse_graph_source(text: str) -> BWGraph:
-    """Parse either the graph text format or the `linear:BWBW...` shorthand."""
-    g = parse_linear_shorthand(text)
-    return parse_graph(text) if g is None else g
-
-
 def format_graph(g: BWGraph) -> str:
     """Serialize to the graph text format (round-trips through parse_graph)."""
     lines = [str(g.n), g.color_string()]
@@ -288,9 +267,9 @@ def format_graph(g: BWGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_to_dot(g: BWGraph, name: str = "G") -> str:
-    """DOT rendering with filled black/white vertices."""
-    lines = [f"graph {name} {{", "  node [style=filled, shape=circle];"]
+def graph_to_dot(g: BWGraph) -> str:
+    """DOT graph G with filled black/white vertices."""
+    lines = ["graph G {", "  node [style=filled, shape=circle];"]
     for v in range(g.n):
         if g.is_black(v):
             lines.append(f'  {v} [fillcolor="black", fontcolor="white"];')

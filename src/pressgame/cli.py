@@ -175,24 +175,24 @@ def cmd_enumerate(args) -> tuple[int, dict, str]:
 def cmd_metagraph(args) -> tuple[int, dict, str]:
     g = load_graph(args.graph)
     ps = enumerate_successful(g)
-    m = build_metagraph(ps, args.threshold)
+    edges = build_metagraph(ps, args.threshold)
     kmin, components = connectivity(ps, args.threshold)
     connected = len(components) == 1
     print(
-        f"{len(ps.paths)} paths, {len(m.edges)} edges at threshold "
+        f"{len(ps.paths)} paths, {len(edges)} edges at threshold "
         f"{args.threshold}: {'connected' if connected else 'DISCONNECTED'} "
         f"(min connecting threshold {kmin})"
     )
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(metagraph_to_dot(m))
+            fh.write(metagraph_to_dot(ps, edges))
     payload = {
         "graph": _graph_payload(g),
         "threshold": args.threshold,
         "connected": connected,
         "min_connect_threshold": kmin,
-        "edge_count": len(m.edges),
-        "edges": [list(e) for e in m.edges],
+        "edge_count": len(edges),
+        "edges": [list(e) for e in edges],
         **_pathset_payload(ps),
     }
     return (0 if connected else 1), payload, args.graph

@@ -2,8 +2,9 @@
 
 The metagraph of a path set has one vertex per successful path and an edge
 between two paths when their longest common subsequence is at most k below
-the common length.  Sweeps check connectivity of that graph across whole
-graph families: all linear graphs up to n_max at threshold 2, and all
+the common length; build_metagraph returns its edges as sorted index pairs
+into the path set's paths.  Sweeps check connectivity of that graph across
+whole graph families: all linear graphs up to n_max at threshold 2, and all
 labeled graphs up to n_max at threshold 4.  Instances come by n, then
 edge list (labeled graphs: ascending edge mask over combinations(range(n),
 2)), then colour mask ascending, bit v set meaning vertex v is black.
@@ -23,15 +24,6 @@ from itertools import combinations
 from .bwgraph import BWGraph, is_solvable
 from .errors import CapExceededError, EmptyPathSetError
 from .paths import DEFAULT_CAP, PathSet, PressingPath, enumerate_successful, format_path
-
-
-@dataclass(frozen=True)
-class Metagraph:
-    """Path set plus the pairs (i, j) passing the LCS gate at threshold."""
-
-    vertices: PathSet
-    threshold: int
-    edges: tuple[tuple[int, int], ...]
 
 
 def _buckets(ps: PathSet, k: int) -> list[list[int]]:
@@ -55,11 +47,11 @@ def _check_gate(ps: PathSet, k: int) -> None:
         raise ValueError("threshold must be non-negative")
 
 
-def build_metagraph(ps: PathSet, k: int) -> Metagraph:
-    """Edge iff lcs >= common_length - k (`at most k less`, inclusive)."""
+def build_metagraph(ps: PathSet, k: int) -> tuple[tuple[int, int], ...]:
+    """Sorted index pairs (i, j), i < j, of the paths of ps with
+    lcs >= common_length - k (`at most k less`, inclusive)."""
     _check_gate(ps, k)
-    edges = {pair for g in _buckets(ps, k) for pair in combinations(g, 2)}
-    return Metagraph(vertices=ps, threshold=k, edges=tuple(sorted(edges)))
+    return tuple(sorted({pair for g in _buckets(ps, k) for pair in combinations(g, 2)}))
 
 
 def connectivity(ps: PathSet, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -216,11 +208,12 @@ def verify_general_family(
     return _sweep("all labeled graphs", _edge_sets, n_max, threshold, cap)
 
 
-def metagraph_to_dot(m: Metagraph, name: str = "M") -> str:
-    """DOT rendering; vertices are labeled by their path strings."""
-    lines = [f"graph {name} {{"]
-    for idx, p in enumerate(m.vertices.paths):
+def metagraph_to_dot(ps: PathSet, edges: tuple[tuple[int, int], ...]) -> str:
+    """DOT graph M over the paths of ps, labeled by their path strings, with
+    the index pairs edges (as build_metagraph returns them)."""
+    lines = ["graph M {"]
+    for idx, p in enumerate(ps.paths):
         lines.append(f'  p{idx} [label="{format_path(p)}"];')
-    lines.extend(f"  p{i} -- p{j};" for i, j in m.edges)
+    lines.extend(f"  p{i} -- p{j};" for i, j in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

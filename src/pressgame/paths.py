@@ -42,7 +42,7 @@ def is_successful_path(g: BWGraph, path: Sequence[int]) -> bool:
 
 
 def enumerate_successful(g: BWGraph, cap: int = DEFAULT_CAP) -> PathSet:
-    """Collect every successful pressing path by exhaustive DFS.
+    """Every successful pressing path, in lexicographic (DFS) order.
 
     Raises UnsolvableError when no successful path can exist and
     CapExceededError (never a silent truncation) when more than cap paths
@@ -73,7 +73,7 @@ def enumerate_successful(g: BWGraph, cap: int = DEFAULT_CAP) -> PathSet:
     dfs(g)
     if not found:
         raise AssertionError("a solvable graph must have a successful path")
-    return PathSet(graph=g, paths=tuple(sorted(found)), common_length=len(found[0]))
+    return PathSet(graph=g, paths=tuple(found), common_length=len(found[0]))
 
 
 def find_safe_press(g: BWGraph) -> int:

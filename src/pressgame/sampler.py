@@ -22,7 +22,6 @@ from fractions import Fraction
 from .bwgraph import BWGraph
 from .errors import CapExceededError, EmptyPathSetError, PathTooShortError
 from .paths import (
-    DEFAULT_CAP,
     PathSet,
     PressingPath,
     enumerate_successful,
@@ -33,11 +32,11 @@ from .paths import (
 
 @dataclass
 class ChainState:
+    """What mh_step reads and writes; a run's seed and step count are in ChainReport."""
+
     graph: BWGraph
     current: PressingPath
     rng: random.Random
-    seed: int
-    step_count: int = 0
     accept_count: int = 0
 
 
@@ -46,7 +45,7 @@ class ChainReport:
     graph: BWGraph
     histogram: dict[PressingPath, int]
     acceptance_rate: float
-    tv_distance: float | None  # None when enumeration exceeded the cap
+    tv_distance: float | None  # None above paths.DEFAULT_CAP paths
     seed: int
     steps: int
     burn_in: int
@@ -122,7 +121,6 @@ def mh_step(s: ChainState) -> ChainState:
     The proposal is symmetric, so the Hastings ratio is 1: accept exactly
     when the candidate is a successful path.
     """
-    s.step_count += 1
     if len(s.current) < 2:
         return s
     cand = propose(s)
@@ -138,26 +136,25 @@ def run_chain(
     steps: int,
     burn_in: int | None = None,
     seed: int = 0,
-    cap: int = DEFAULT_CAP,
 ) -> ChainReport:
     """Run the chain from a greedy solution, recording post-burn-in visits.
 
     tv_distance compares the visit histogram against the uniform
     distribution over the exhaustively enumerated path set; it is None
-    when enumeration blows past cap.
+    when the graph has more than paths.DEFAULT_CAP successful paths.
     """
     if burn_in is None:
         burn_in = steps // 10
     if not 0 <= burn_in < steps:
         raise ValueError(f"need 0 <= burn_in < steps, got {burn_in} / {steps}")
-    s = ChainState(graph=g, current=greedy_solve(g), rng=random.Random(seed), seed=seed)
+    s = ChainState(graph=g, current=greedy_solve(g), rng=random.Random(seed))
     hist: Counter = Counter()
     for t in range(steps):
         mh_step(s)
         if t >= burn_in:
             hist[s.current] += 1
     try:
-        tv = tv_distance(hist, enumerate_successful(g, cap))
+        tv = tv_distance(hist, enumerate_successful(g))
     except CapExceededError:
         tv = None
     return ChainReport(

@@ -186,7 +186,7 @@ def test_criterion_8_overlap_graph_of_the_drawn_example():
         overlap == expected
         and overlap.n == 7
         and overlap.color_string() == "BBWWWBB"
-        and overlap.edge_count() == 13
+        and len(overlap.edges()) == 13
     )
     verdict(
         "8 (overlap graph of +4 -1 -6 +3 +2 +5 reproduced)",

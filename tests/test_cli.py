@@ -7,8 +7,9 @@ import pytest
 
 from pressgame.bwgraph import format_graph, linear_graph
 from pressgame.cli import load_graph, main
-from pressgame.errors import GraphParseError, SelfLoopError
+from pressgame.errors import CapExceededError, GraphParseError, SelfLoopError
 from pressgame.permrev import build_dr, build_overlap, parse_signed_permutation
+from pressgame.sampler import run_chain
 
 from gen import all_graphs_upto
 
@@ -151,7 +152,7 @@ def test_load_graph_examples(tmp_path):
     f = tmp_path / "g.txt"
     f.write_text("3\nWBW\n")
     g = load_graph(str(f))
-    assert g.color_string() == "WBW" and g.edge_count() == 0
+    assert g.color_string() == "WBW" and g.edges() == []
 
     f.write_text("2\nBW\n0 0\n")
     with pytest.raises(SelfLoopError):
@@ -272,3 +273,20 @@ def test_sample_report_and_reproducibility(capsys, tmp_path):
 
     code, out2, _ = run(capsys, *args)
     assert out2 == out1
+
+
+def test_sample_prints_no_tv_above_the_cap(capsys, tmp_path, monkeypatch):
+    # run_chain enumerates with the default cap after the chain; a graph with
+    # more paths than that keeps its histogram and gets no tv distance
+    def over_cap(g):
+        raise CapExceededError(1_000_001)
+
+    monkeypatch.setattr("pressgame.sampler.enumerate_successful", over_cap)
+    chain = run_chain(linear_graph("BWBB"), steps=2_000, seed=7)
+    assert chain.tv_distance is None and sum(chain.histogram.values()) == 1_800
+    r = tmp_path / "chain.json"
+    code, out, err = run(capsys, "sample", "linear:BWBB", "--steps", "2000",
+                         "--seed", "7", "--report", str(r))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].endswith(", tv distance n/a (cap exceeded)")
+    assert json.loads(r.read_text())["payload"]["tv_distance"] is None

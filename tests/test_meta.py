@@ -56,13 +56,11 @@ def test_lcs_length_matches_recursive_definition():
 
 def test_build_metagraph_examples():
     wbw = enumerate_successful(linear_graph("WBW"))
-    m = build_metagraph(wbw, 2)
-    assert len(m.vertices.paths) == 2
-    assert m.edges == ((0, 1),)  # lcs 1 >= 2 - 2
+    assert len(wbw.paths) == 2
+    assert build_metagraph(wbw, 2) == ((0, 1),)  # lcs 1 >= 2 - 2
 
     bbb = enumerate_successful(linear_graph("BBB"))
-    m = build_metagraph(bbb, 2)
-    assert m.edges == ((0, 1),)  # lcs 2 >= 3 - 2
+    assert build_metagraph(bbb, 2) == ((0, 1),)  # lcs 2 >= 3 - 2
 
 
 def test_gate_at_common_length_is_complete():
@@ -70,9 +68,8 @@ def test_gate_at_common_length_is_complete():
         if not is_solvable(g):
             continue
         ps = enumerate_successful(g)
-        m = build_metagraph(ps, ps.common_length)
         p = len(ps.paths)
-        assert len(m.edges) == p * (p - 1) // 2
+        assert len(build_metagraph(ps, ps.common_length)) == p * (p - 1) // 2
 
 
 def test_empty_path_set_rejected():
@@ -99,7 +96,7 @@ def test_connectivity_examples():
     # two disjoint paths: lcs 0 < 3 - 2, no edge until the gate is 3
     g = BWGraph.from_parts("WWWWWW")
     far = PathSet(graph=g, paths=((0, 1, 2), (3, 4, 5)), common_length=3)
-    assert build_metagraph(far, 2).edges == ()
+    assert build_metagraph(far, 2) == ()
     assert connectivity(far, 2) == (3, ((0,), (1,)))
     assert connectivity(far, 3) == (3, ((0, 1),))
 
@@ -128,14 +125,13 @@ def test_gate_edges_match_pairwise_lcs():
             continue
         ps = enumerate_successful(g)
         for k in (0, 1, 2, ps.common_length):
-            m = build_metagraph(ps, k)
             expected = tuple(
                 (i, j)
                 for i in range(len(ps.paths))
                 for j in range(i + 1, len(ps.paths))
                 if recursive_lcs(ps.paths[i], ps.paths[j]) >= ps.common_length - k
             )
-            assert m.edges == expected
+            assert build_metagraph(ps, k) == expected
 
 
 def test_min_threshold_is_the_first_connected_gate():
@@ -151,7 +147,7 @@ def test_min_threshold_is_the_first_connected_gate():
         connected = [len(components) == 1 for _, components in gates]
         assert connected == [k >= kmin for k in range(ps.common_length + 1)]
         for k, (_, components) in enumerate(gates):
-            edges = build_metagraph(ps, k).edges
+            edges = build_metagraph(ps, k)
             assert list(components) == union_find_components(len(ps.paths), edges)
 
 
@@ -229,8 +225,8 @@ def test_verify_general_family_small():
 
 
 def test_metagraph_to_dot_layout():
-    m = build_metagraph(enumerate_successful(linear_graph("WBW")), 2)
-    assert metagraph_to_dot(m) == (
+    ps = enumerate_successful(linear_graph("WBW"))
+    assert metagraph_to_dot(ps, build_metagraph(ps, 2)) == (
         "graph M {\n"
         '  p0 [label="1 0"];\n'
         '  p1 [label="1 2"];\n'

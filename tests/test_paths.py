@@ -33,6 +33,7 @@ from pressgame.permrev import SignedPermutation, build_dr, build_overlap
 from gen import all_colorings, all_graphs_upto, random_graph, random_signed_permutation
 from oracles import (
     iterated_safe_press,
+    linear_family,
     naive_graph,
     naive_is_done,
     naive_press,
@@ -157,6 +158,18 @@ def test_enumeration_matches_naive_search():
         for p in ps.paths:
             assert is_successful_path(g, p)
             assert len(set(p)) == len(p)
+
+
+def test_enumeration_comes_out_in_strict_lexicographic_order():
+    # the DFS order is returned as is, with no sort; on linear graphs past
+    # the naive search's reach it must still be strictly ascending
+    solvable = 0
+    for g in linear_family(7):
+        if is_solvable(g):
+            paths = enumerate_successful(g).paths
+            assert all(a < b for a, b in zip(paths, paths[1:]))
+            solvable += 1
+    assert solvable == 248
 
 
 def test_solvability_predicate_matches_reachability():

@@ -241,7 +241,7 @@ def _assert_commutes(p):
         via_press = press(g, k)
         assert via_reversal == via_press
         assert not via_press.is_black(k)
-        assert via_press.neighbors(k) == ()
+        assert via_press.adj[k] == 0
 
 
 def test_press_reversal_commutation_exhaustive_small():

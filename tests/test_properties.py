@@ -10,7 +10,6 @@ from pressgame.bwgraph import (
     format_graph,
     is_solvable,
     parse_graph,
-    parse_graph_source,
     press,
 )
 from pressgame.paths import greedy_solve
@@ -53,7 +52,6 @@ def overlap_of(p):
 def test_graph_text_round_trips(g):
     text = format_graph(g)
     assert parse_graph(text) == g
-    assert parse_graph_source(text) == g
     assert format_graph(parse_graph(text)) == text
 
 

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import io
+import re
+import tokenize
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -45,3 +48,30 @@ def test_bench_tracer_installs_on_the_package():
     with tracing["Tracer"]().installed(pg):
         assert bindings() != before
     assert bindings() == before
+
+
+def test_readme_python_blocks_run_and_match_their_comments():
+    # every ```python block of README.md runs, in order, in one namespace;
+    # an expression whose line ends in a comment that is a Python literal
+    # must evaluate to that literal
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert blocks
+    ns: dict = {}
+    checked = 0
+    for block in blocks:
+        comments = {
+            tok.start[0]: tok.string[1:].strip()
+            for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+            if tok.type == tokenize.COMMENT
+        }
+        for stmt in ast.parse(block).body:
+            try:
+                want = ast.literal_eval(comments.get(stmt.end_lineno, ""))
+            except (ValueError, SyntaxError):
+                exec(compile(ast.Module([stmt], []), "README.md", "exec"), ns)
+                continue
+            assert isinstance(stmt, ast.Expr), ast.unparse(stmt)
+            got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), ns)
+            assert got == want, ast.unparse(stmt)
+            checked += 1
+    assert checked == 9
