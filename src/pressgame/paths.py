@@ -1,8 +1,12 @@
 """Pressing paths: validity, success, exhaustive enumeration, safe presses.
 
-Paths are plain tuples of vertex ids.  Enumeration is a depth-first search
-branching on every black vertex in ascending index order, so the collected
-path set comes out in lexicographic order and two runs are byte-identical.
+Paths are plain tuples of vertex ids.  Enumeration runs in two passes over
+raw press states (colors, adjacency rows).  A memoised count records, for
+each reachable state, its path count, their common length and its live
+moves: the black vertices, ascending, whose press leaves a state with a
+path.  A walk over the live moves then lists the paths in the same
+lexicographic order a depth-first search would, so two runs are
+byte-identical; the walk presses nothing and enters no dead end.
 """
 
 from __future__ import annotations
@@ -10,10 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bwgraph import BWGraph, fold_path, is_all_white_empty, is_solvable, press
+from .bwgraph import (
+    BWGraph,
+    _bits,
+    _press_rows,
+    fold_path,
+    is_all_white_empty,
+    is_solvable,
+    press,
+)
 from .errors import AlreadySolvedError, CapExceededError, UnsolvableError
 
 PressingPath = tuple[int, ...]
+# (v, live moves of the state that pressing v leaves), v ascending
+Moves = tuple[tuple[int, "Moves"], ...]
 
 DEFAULT_CAP = 1_000_000
 
@@ -42,38 +56,64 @@ def is_successful_path(g: BWGraph, path: Sequence[int]) -> bool:
 
 
 def enumerate_successful(g: BWGraph, cap: int = DEFAULT_CAP) -> PathSet:
-    """Every successful pressing path, in lexicographic (DFS) order.
+    """Every successful pressing path, in lexicographic order.
 
-    Raises UnsolvableError when no successful path can exist and
-    CapExceededError (never a silent truncation) when more than cap paths
-    are found.
+    The cap is decided from the count of the root state before any path is
+    built.  Raises UnsolvableError when no successful path can exist and
+    CapExceededError (never a silent truncation) with count_so_far cap + 1
+    when there are more than cap paths.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if not is_solvable(g):
         raise UnsolvableError("graph has a non-trivial unoriented component")
+    count, length, moves = _count(g.colors, g.adj, {})
+    if not count:
+        raise AssertionError("a solvable graph must have a successful path")
+    if count > cap:
+        raise CapExceededError(cap + 1)
     found: list[PressingPath] = []
     prefix: list[int] = []
 
-    def dfs(h: BWGraph) -> None:
-        blacks = h.black_vertices()
-        if not blacks:
-            if is_all_white_empty(h):
-                found.append(tuple(prefix))
-                if len(found) > cap:
-                    raise CapExceededError(len(found))
-                if len(prefix) != len(found[0]):
-                    raise AssertionError("equal-length law violated")
-            return
-        for v in blacks:
+    def walk(moves: Moves) -> None:
+        if not moves:
+            found.append(tuple(prefix))
+        for v, child_moves in moves:
             prefix.append(v)
-            dfs(press(h, v))
+            walk(child_moves)
             prefix.pop()
 
-    dfs(g)
-    if not found:
-        raise AssertionError("a solvable graph must have a successful path")
-    return PathSet(graph=g, paths=tuple(found), common_length=len(found[0]))
+    walk(moves)
+    return PathSet(graph=g, paths=tuple(found), common_length=length)
+
+
+def _count(colors: int, adj: tuple[int, ...], memo: dict) -> tuple[int, int, Moves]:
+    """(path count, common path length, live moves) of the press state
+    (colors, adj), memoised in memo by state.  The live moves are (v, live
+    moves after pressing v) for each black v, ascending, whose press leaves
+    a state with a path.  A state's paths do not depend on the presses that
+    reached it, and by the equal-length law they share one length, so one
+    entry per state is exact."""
+    key = (colors, adj)
+    entry = memo.get(key)
+    if entry is not None:
+        return entry
+    if not colors:
+        entry = memo[key] = (0 if any(adj) else 1, 0, ())
+        return entry
+    total = length = 0
+    live = []
+    for v in _bits(colors):
+        rows = list(adj)
+        k, child_length, child_moves = _count(_press_rows(rows, colors, v), tuple(rows), memo)
+        if k:
+            if live and child_length + 1 != length:
+                raise AssertionError("equal-length law violated")
+            total += k
+            length = child_length + 1
+            live.append((v, child_moves))
+    entry = memo[key] = (total, length, tuple(live))
+    return entry
 
 
 def find_safe_press(g: BWGraph) -> int:

@@ -13,8 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from pressgame.bwgraph import BWGraph, is_all_white_empty, linear_graph, press
-from pressgame.errors import EmptyPathSetError
+from pressgame.bwgraph import BWGraph, is_all_white_empty, is_solvable, linear_graph, press
+from pressgame.errors import CapExceededError, EmptyPathSetError, UnsolvableError
 from pressgame.paths import PathSet, find_safe_press
 from pressgame.sampler import proposal_probability
 
@@ -80,6 +80,39 @@ def naive_solvable(state):
         return any(rec(naive_press(st, v)) for v in sorted(colors) if colors[v] == "B")
 
     return rec(state)
+
+
+# ---------------------------------------------------------------------------
+# Enumeration by a depth-first search over BWGraph values (the package counts
+# press states first and walks only the live moves).
+
+def dfs_enumerate(g: BWGraph, cap: int) -> PathSet:
+    """Every successful path in DFS order, branching on every black vertex in
+    ascending order; CapExceededError as soon as the (cap + 1)-th is found."""
+    if not is_solvable(g):
+        raise UnsolvableError("graph has a non-trivial unoriented component")
+    found = []
+    prefix = []
+
+    def dfs(h):
+        blacks = h.black_vertices()
+        if not blacks:
+            if is_all_white_empty(h):
+                found.append(tuple(prefix))
+                if len(found) > cap:
+                    raise CapExceededError(len(found))
+                if len(prefix) != len(found[0]):
+                    raise AssertionError("equal-length law violated")
+            return
+        for v in blacks:
+            prefix.append(v)
+            dfs(press(h, v))
+            prefix.pop()
+
+    dfs(g)
+    if not found:
+        raise AssertionError("a solvable graph must have a successful path")
+    return PathSet(graph=g, paths=tuple(found), common_length=len(found[0]))
 
 
 # ---------------------------------------------------------------------------

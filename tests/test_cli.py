@@ -256,7 +256,18 @@ def test_verify_general_cap_marks_incomplete(capsys, tmp_path):
     assert out.startswith("INCOMPLETE")
     doc = json.loads(r.read_text())
     assert doc["payload"]["verdict"] == "INCOMPLETE"
-    assert doc["payload"]["incomplete"]
+    incomplete = doc["payload"]["incomplete"]
+    assert incomplete
+    assert all(row["paths_found"] == 2 for row in incomplete)  # cap + 1
+
+
+def test_real_graph_over_the_default_cap(capsys):
+    # (BW)x7 has 23,444,883 successful paths: the count rejects it before any
+    # path is built, for enumerate and for the tv distance after a chain
+    code, out, err = run(capsys, "enumerate", "linear:BWBWBWBWBWBWBW")
+    assert (code, out, err) == (2, "", "error: more than 1000000 successful paths\n")
+    chain = run_chain(linear_graph("BWBWBWBWBWBWBW"), steps=2_000, seed=7)
+    assert chain.tv_distance is None
 
 
 def test_sample_report_and_reproducibility(capsys, tmp_path):

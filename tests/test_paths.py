@@ -21,6 +21,7 @@ from pressgame.errors import (
     UnsolvableError,
 )
 from pressgame.paths import (
+    DEFAULT_CAP,
     enumerate_successful,
     find_safe_press,
     format_paths,
@@ -32,6 +33,7 @@ from pressgame.permrev import SignedPermutation, build_dr, build_overlap
 
 from gen import all_colorings, all_graphs_upto, random_graph, random_signed_permutation
 from oracles import (
+    dfs_enumerate,
     iterated_safe_press,
     linear_family,
     naive_graph,
@@ -160,9 +162,35 @@ def test_enumeration_matches_naive_search():
             assert len(set(p)) == len(p)
 
 
+@pytest.mark.slow
+def test_enumeration_matches_dfs_oracle():
+    # the count-then-walk enumeration against the DFS it replaced, on every
+    # solvable labeled graph with n <= 5 and solvable linear graph with n <= 8
+    solvable = 0
+    for g in itertools.chain(all_graphs_upto(5), linear_family(8)):
+        if is_solvable(g):
+            ps, ref = enumerate_successful(g), dfs_enumerate(g, DEFAULT_CAP)
+            assert (ps.paths, ps.common_length) == (ref.paths, ref.common_length)
+            solvable += 1
+    assert solvable == 31_742 + 503
+    # the cap is decided from the count, but reports what the DFS reported:
+    # cap + 1 at every cap below the path count P, and no error at cap = P
+    for g in all_graphs_upto(4):
+        if not is_solvable(g):
+            continue
+        p = len(enumerate_successful(g).paths)
+        for cap in range(1, p):
+            with pytest.raises(CapExceededError) as new:
+                enumerate_successful(g, cap=cap)
+            with pytest.raises(CapExceededError) as old:
+                dfs_enumerate(g, cap)
+            assert new.value.count_so_far == old.value.count_so_far == cap + 1
+        assert enumerate_successful(g, cap=p).paths == dfs_enumerate(g, p).paths
+
+
 def test_enumeration_comes_out_in_strict_lexicographic_order():
-    # the DFS order is returned as is, with no sort; on linear graphs past
-    # the naive search's reach it must still be strictly ascending
+    # the walk's order is returned as is, with no sort; on linear graphs
+    # past the naive search's reach it must still be strictly ascending
     solvable = 0
     for g in linear_family(7):
         if is_solvable(g):
