@@ -4,9 +4,11 @@ Paths are plain tuples of vertex ids.  Enumeration runs in two passes over
 raw press states (colors, adjacency rows).  A memoised count records, for
 each reachable state, its path count, their common length and its live
 moves: the black vertices, ascending, whose press leaves a state with a
-path.  A walk over the live moves then lists the paths in the same
-lexicographic order a depth-first search would, so two runs are
-byte-identical; the walk presses nothing and enters no dead end.
+path.  The count stops as soon as one state has more than the cap's
+paths, so it never visits the whole state space of an over-cap graph.  A
+walk over the live moves then lists the paths in the same lexicographic
+order a depth-first search would, so two runs are byte-identical; the walk
+presses nothing and enters no dead end.
 """
 
 from __future__ import annotations
@@ -58,20 +60,21 @@ def is_successful_path(g: BWGraph, path: Sequence[int]) -> bool:
 def enumerate_successful(g: BWGraph, cap: int = DEFAULT_CAP) -> PathSet:
     """Every successful pressing path, in lexicographic order.
 
-    The cap is decided from the count of the root state before any path is
-    built.  Raises UnsolvableError when no successful path can exist and
-    CapExceededError (never a silent truncation) with count_so_far cap + 1
-    when there are more than cap paths.
+    The cap is decided by the count before any path is built.  The count
+    stops as soon as one state has more than cap paths (every state it
+    visits is reached by a valid prefix, so the root has at least as many),
+    so its work grows with the cap, not with the state space.  Raises
+    UnsolvableError when no successful path can exist and CapExceededError
+    (never a silent truncation) with count_so_far cap + 1 when there are
+    more than cap paths.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if not is_solvable(g):
         raise UnsolvableError("graph has a non-trivial unoriented component")
-    count, length, moves = _count(g.colors, g.adj, {})
+    count, length, moves = _count(g.colors, g.adj, cap, {})
     if not count:
         raise AssertionError("a solvable graph must have a successful path")
-    if count > cap:
-        raise CapExceededError(cap + 1)
     found: list[PressingPath] = []
     prefix: list[int] = []
 
@@ -87,13 +90,16 @@ def enumerate_successful(g: BWGraph, cap: int = DEFAULT_CAP) -> PathSet:
     return PathSet(graph=g, paths=tuple(found), common_length=length)
 
 
-def _count(colors: int, adj: tuple[int, ...], memo: dict) -> tuple[int, int, Moves]:
+def _count(
+    colors: int, adj: tuple[int, ...], cap: int, memo: dict
+) -> tuple[int, int, Moves]:
     """(path count, common path length, live moves) of the press state
-    (colors, adj), memoised in memo by state.  The live moves are (v, live
-    moves after pressing v) for each black v, ascending, whose press leaves
-    a state with a path.  A state's paths do not depend on the presses that
-    reached it, and by the equal-length law they share one length, so one
-    entry per state is exact."""
+    (colors, adj), memoised in memo by state; CapExceededError(cap + 1) as
+    soon as the count passes cap.  The live moves are (v, live moves after
+    pressing v) for each black v, ascending, whose press leaves a state with
+    a path.  A state's paths do not depend on the presses that reached it,
+    and by the equal-length law they share one length, so one entry per
+    state is exact."""
     key = (colors, adj)
     entry = memo.get(key)
     if entry is not None:
@@ -105,11 +111,14 @@ def _count(colors: int, adj: tuple[int, ...], memo: dict) -> tuple[int, int, Mov
     live = []
     for v in _bits(colors):
         rows = list(adj)
-        k, child_length, child_moves = _count(_press_rows(rows, colors, v), tuple(rows), memo)
+        child = _press_rows(rows, colors, v)
+        k, child_length, child_moves = _count(child, tuple(rows), cap, memo)
         if k:
             if live and child_length + 1 != length:
                 raise AssertionError("equal-length law violated")
             total += k
+            if total > cap:
+                raise CapExceededError(cap + 1)
             length = child_length + 1
             live.append((v, child_moves))
     entry = memo[key] = (total, length, tuple(live))

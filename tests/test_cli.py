@@ -261,11 +261,16 @@ def test_verify_general_cap_marks_incomplete(capsys, tmp_path):
     assert all(row["paths_found"] == 2 for row in incomplete)  # cap + 1
 
 
-def test_real_graph_over_the_default_cap(capsys):
+def test_real_graph_over_the_default_cap(capsys, tmp_path):
     # (BW)x7 has 23,444,883 successful paths: the count rejects it before any
-    # path is built, for enumerate and for the tv distance after a chain
-    code, out, err = run(capsys, "enumerate", "linear:BWBWBWBWBWBWBW")
-    assert (code, out, err) == (2, "", "error: more than 1000000 successful paths\n")
+    # path is built, for enumerate and for the tv distance after a chain.
+    # 22 isolated black vertices have 22! paths over 2^22 press states: the
+    # count stops once a small subtree passes the cap, not after every state
+    f = tmp_path / "isolated.txt"
+    f.write_text("22\n" + "B" * 22 + "\n")
+    for source in ("linear:BWBWBWBWBWBWBW", str(f)):
+        code, out, err = run(capsys, "enumerate", source)
+        assert (code, out, err) == (2, "", "error: more than 1000000 successful paths\n")
     chain = run_chain(linear_graph("BWBWBWBWBWBWBW"), steps=2_000, seed=7)
     assert chain.tv_distance is None
 

@@ -7,6 +7,7 @@ import pytest
 
 from pressgame.bwgraph import (
     BWGraph,
+    _press_rows,
     apply_path,
     is_all_white_empty,
     is_solvable,
@@ -163,7 +164,7 @@ def test_enumeration_matches_naive_search():
 
 
 @pytest.mark.slow
-def test_enumeration_matches_dfs_oracle():
+def test_enumeration_matches_dfs_oracle(monkeypatch):
     # the count-then-walk enumeration against the DFS it replaced, on every
     # solvable labeled graph with n <= 5 and solvable linear graph with n <= 8
     solvable = 0
@@ -186,6 +187,25 @@ def test_enumeration_matches_dfs_oracle():
                 dfs_enumerate(g, cap)
             assert new.value.count_so_far == old.value.count_so_far == cap + 1
         assert enumerate_successful(g, cap=p).paths == dfs_enumerate(g, p).paths
+    # many states, few allowed paths: 20 isolated black vertices have 20!
+    # paths over 2^20 states; the count must stop inside a small subtree
+    # (38 presses) rather than count every state first
+    g = BWGraph.from_parts("B" * 20)
+    with pytest.raises(CapExceededError) as old:
+        dfs_enumerate(g, 10)
+    presses = 0
+
+    def counted_press_rows(*args):
+        nonlocal presses
+        presses += 1
+        if presses > 1_000:
+            raise AssertionError("the count ran on past the cap")
+        return _press_rows(*args)
+
+    monkeypatch.setattr("pressgame.paths._press_rows", counted_press_rows)
+    with pytest.raises(CapExceededError) as new:
+        enumerate_successful(g, cap=10)
+    assert new.value.count_so_far == old.value.count_so_far == 11
 
 
 def test_enumeration_comes_out_in_strict_lexicographic_order():
