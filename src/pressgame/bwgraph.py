@@ -1,11 +1,12 @@
 """Black-and-white graphs and the press move.
 
 Vertices are 0-indexed.  Colors and adjacency rows are stored as bitmasks,
-so a graph is a small hashable value and pressing returns a new graph
-instead of mutating (enumeration and backtracking rely on cheap snapshots).
-Desk scale only: n is expected to stay at or below 32.  The press rule lives
-in one place, the in-place row kernel _press_rows, run by press on a copy of
-one graph's rows and by fold_path along a whole path on one copy.
+so a graph is a small hashable value and press returns a new graph
+instead of mutating.  Desk scale only: n is expected to stay at or below 32.
+The press rule lives in one place, the in-place row kernel _press_rows, run
+by press on a copy of one graph's rows, by fold_path along a whole path on
+one copy, and by the enumeration count in paths on raw rows with no graph
+object per state.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .errors import (
 
 BLACK = "B"
 WHITE = "W"
-
-LINEAR_PREFIX = "linear:"
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -247,17 +246,6 @@ def parse_graph(text: str) -> BWGraph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return BWGraph(n, colors, tuple(adj))
-
-
-def parse_linear_shorthand(text: str) -> BWGraph | None:
-    """The path graph named by `linear:BWBW...`, or None for other text.
-
-    The prefix is case-insensitive and surrounding whitespace is ignored.
-    """
-    stripped = text.strip()
-    if not stripped.lower().startswith(LINEAR_PREFIX):
-        return None
-    return linear_graph(stripped[len(LINEAR_PREFIX):])
 
 
 def format_graph(g: BWGraph) -> str:

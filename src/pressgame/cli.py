@@ -25,16 +25,16 @@ from .bwgraph import (
     apply_path,
     format_graph,
     graph_to_dot,
+    linear_graph,
     parse_graph,
-    parse_linear_shorthand,
 )
 from .errors import GameError
 from .meta import (
     SweepReport,
     build_metagraph,
-    connectivity,
     metagraph_to_dot,
     verify_general_family,
+    verify_instance,
     verify_linear_family,
 )
 from .paths import DEFAULT_CAP, PathSet, enumerate_successful, format_path, format_paths
@@ -50,12 +50,13 @@ _VERDICT_EXIT = {"PASS": 0, "FAIL": 1, "INCOMPLETE": 2}
 
 
 def load_graph(source: str) -> BWGraph:
-    """Graph from the linear:BWBW... shorthand or a file path."""
-    g = parse_linear_shorthand(source)
-    if g is None:
-        with open(source) as fh:
-            g = parse_graph(fh.read())
-    return g
+    """Graph from a file path or the linear:BWBW... shorthand (prefix
+    case-insensitive, surrounding whitespace ignored)."""
+    head, colon, colors = source.strip().partition(":")
+    if colon and head.lower() == "linear":
+        return linear_graph(colors)
+    with open(source) as fh:
+        return parse_graph(fh.read())
 
 
 def write_report(report: dict, path: str) -> None:
@@ -68,7 +69,7 @@ def _graph_payload(g: BWGraph) -> dict:
     return {
         "n": g.n,
         "colors": g.color_string(),
-        "edges": [list(e) for e in g.edges()],
+        "edges": g.edges(),
     }
 
 
@@ -90,7 +91,7 @@ def _sweep_payload(r: SweepReport) -> dict:
             {
                 "graph": _graph_payload(f.graph),
                 "paths": [format_path(p) for p in f.path_set.paths],
-                "components": [list(c) for c in f.components],
+                "components": f.components,
             }
             for f in r.failures
         ],
@@ -174,14 +175,12 @@ def cmd_enumerate(args) -> tuple[int, dict, str]:
 
 def cmd_metagraph(args) -> tuple[int, dict, str]:
     g = load_graph(args.graph)
-    ps = enumerate_successful(g)
+    row, ps, _ = verify_instance(g, args.threshold)
     edges = build_metagraph(ps, args.threshold)
-    kmin, components = connectivity(ps, args.threshold)
-    connected = len(components) == 1
     print(
-        f"{len(ps.paths)} paths, {len(edges)} edges at threshold "
-        f"{args.threshold}: {'connected' if connected else 'DISCONNECTED'} "
-        f"(min connecting threshold {kmin})"
+        f"{row.path_count} paths, {len(edges)} edges at threshold "
+        f"{args.threshold}: {'connected' if row.connected else 'DISCONNECTED'} "
+        f"(min connecting threshold {row.min_threshold})"
     )
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -189,13 +188,13 @@ def cmd_metagraph(args) -> tuple[int, dict, str]:
     payload = {
         "graph": _graph_payload(g),
         "threshold": args.threshold,
-        "connected": connected,
-        "min_connect_threshold": kmin,
+        "connected": row.connected,
+        "min_connect_threshold": row.min_threshold,
         "edge_count": len(edges),
-        "edges": [list(e) for e in edges],
+        "edges": edges,
         **_pathset_payload(ps),
     }
-    return (0 if connected else 1), payload, args.graph
+    return (0 if row.connected else 1), payload, args.graph
 
 
 def cmd_verify(args) -> tuple[int, dict, str]:

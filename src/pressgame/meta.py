@@ -139,8 +139,11 @@ def verify_instance(
     """Enumerate one solvable graph and gate its metagraph at threshold k.
 
     Returns the stats row, the path set, and the metagraph components
-    (a disconnection witness when there is more than one).
+    (a disconnection witness when there is more than one).  A negative k
+    is rejected before any path is enumerated.
     """
+    if k < 0:
+        raise ValueError("threshold must be non-negative")
     ps = enumerate_successful(g, cap)
     min_k, components = connectivity(ps, k)
     stats = InstanceStats(
@@ -155,7 +158,7 @@ def verify_instance(
 def _sweep(label: str, topologies, n_max: int, threshold: int, cap: int) -> SweepReport:
     """Gate every solvable graph on 1..n_max vertices whose edge list is in
     topologies(n): by n, then edge list in order, then colour mask ascending
-    (bit v set means vertex v is black).  _check_gate rejects k < 0."""
+    (bit v set means vertex v is black).  verify_instance rejects k < 0."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     stats: list[InstanceStats] = []

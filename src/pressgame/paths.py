@@ -1,4 +1,4 @@
-"""Pressing paths: validity, success, exhaustive enumeration, safe presses.
+"""Pressing paths: success checks, exhaustive enumeration, safe presses.
 
 Paths are plain tuples of vertex ids.  Enumeration runs in two passes over
 raw press states (colors, adjacency rows).  A memoised count records, for
@@ -41,14 +41,6 @@ class PathSet:
     graph: BWGraph
     paths: tuple[PressingPath, ...]
     common_length: int
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-
-def is_valid_path(g: BWGraph, path: Sequence[int]) -> bool:
-    """Each vertex must be black at its press time."""
-    return fold_path(g, path)[0] is None
 
 
 def is_successful_path(g: BWGraph, path: Sequence[int]) -> bool:

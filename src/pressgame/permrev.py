@@ -103,16 +103,6 @@ def build_dr(p: SignedPermutation) -> DesireRealityGraph:
     return DesireRealityGraph(tuple(seq))
 
 
-def dr_to_permutation(dr: DesireRealityGraph) -> SignedPermutation:
-    """Read the signed permutation back off the doubled sequence."""
-    elems = []
-    for t in range(dr.n):
-        a, b = dr.seq[2 * t + 1], dr.seq[2 * t + 2]
-        m = (max(a, b) + 1) // 2
-        elems.append(m if a < b else -m)
-    return SignedPermutation(tuple(elems))
-
-
 def desire_edge_span(dr: DesireRealityGraph, k: int) -> tuple[int, int]:
     """1-based positions (lo, hi) of labels 2k and 2k+1, with lo < hi; the
     span covers the hi - lo - 1 positions strictly between them."""

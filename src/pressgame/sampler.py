@@ -30,16 +30,6 @@ from .paths import (
 )
 
 
-@dataclass
-class ChainState:
-    """What mh_step reads and writes; a run's seed and step count are in ChainReport."""
-
-    graph: BWGraph
-    current: PressingPath
-    rng: random.Random
-    accept_count: int = 0
-
-
 @dataclass(frozen=True)
 class ChainReport:
     graph: BWGraph
@@ -84,7 +74,7 @@ def proposal_probability(src: PressingPath, dst: PressingPath, n: int) -> Fracti
 
 def _below(getrandbits, n: int) -> int:
     """Uniform draw from range(n), n >= 1, by the loop of CPython's randrange(n)
-    (3.10 and 3.11): n.bit_length() bits from getrandbits, redrawn while >= n.
+    (3.10 to 3.13): n.bit_length() bits from getrandbits, redrawn while >= n.
     The same words are read, so a seed gives the same chain trajectory."""
     k = n.bit_length()
     r = getrandbits(k)
@@ -93,16 +83,14 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def propose(s: ChainState) -> PressingPath:
-    """Draw a candidate path by one remove-2/add-2 move."""
-    path = s.current
+def propose(path: PressingPath, n: int, bits) -> PressingPath:
+    """Draw a candidate by one remove-2/add-2 move on path over n vertices,
+    reading random words from bits (a getrandbits)."""
     L = len(path)
     if L < 2:
         raise PathTooShortError(f"need at least 2 presses, path has {L}")
-    n = s.graph.n
     if n < 1:
         raise ValueError("cannot draw vertices of an empty graph")
-    bits = s.rng.getrandbits
     i = _below(bits, L)
     j = _below(bits, L - 1)
     if j >= i:
@@ -115,20 +103,17 @@ def propose(s: ChainState) -> PressingPath:
     return r[:slot] + (_below(bits, n),) + r[slot:]
 
 
-def mh_step(s: ChainState) -> ChainState:
-    """One Metropolis-Hastings step, in place; stays put on rejection.
+def mh_step(g: BWGraph, path: PressingPath, bits) -> PressingPath | None:
+    """One Metropolis-Hastings step from path: the accepted candidate, or
+    None when the chain stays put.
 
     The proposal is symmetric, so the Hastings ratio is 1: accept exactly
     when the candidate is a successful path.
     """
-    if len(s.current) < 2:
-        return s
-    cand = propose(s)
-    if not is_successful_path(s.graph, cand):
-        return s
-    s.current = cand
-    s.accept_count += 1
-    return s
+    if len(path) < 2:
+        return None
+    cand = propose(path, g.n, bits)
+    return cand if is_successful_path(g, cand) else None
 
 
 def run_chain(
@@ -147,12 +132,17 @@ def run_chain(
         burn_in = steps // 10
     if not 0 <= burn_in < steps:
         raise ValueError(f"need 0 <= burn_in < steps, got {burn_in} / {steps}")
-    s = ChainState(graph=g, current=greedy_solve(g), rng=random.Random(seed))
+    path = greedy_solve(g)
+    bits = random.Random(seed).getrandbits
+    accepted = 0
     hist: Counter = Counter()
     for t in range(steps):
-        mh_step(s)
+        cand = mh_step(g, path, bits)
+        if cand is not None:
+            path = cand
+            accepted += 1
         if t >= burn_in:
-            hist[s.current] += 1
+            hist[path] += 1
     try:
         tv = tv_distance(hist, enumerate_successful(g))
     except CapExceededError:
@@ -160,7 +150,7 @@ def run_chain(
     return ChainReport(
         graph=g,
         histogram=dict(hist),
-        acceptance_rate=s.accept_count / steps,
+        acceptance_rate=accepted / steps,
         tv_distance=tv,
         seed=seed,
         steps=steps,

@@ -13,9 +13,17 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from pressgame.bwgraph import BWGraph, is_all_white_empty, is_solvable, linear_graph, press
+from pressgame.bwgraph import (
+    BWGraph,
+    fold_path,
+    is_all_white_empty,
+    is_solvable,
+    linear_graph,
+    press,
+)
 from pressgame.errors import CapExceededError, EmptyPathSetError, UnsolvableError
 from pressgame.paths import PathSet, find_safe_press
+from pressgame.permrev import DesireRealityGraph, SignedPermutation
 from pressgame.sampler import proposal_probability
 
 
@@ -373,3 +381,22 @@ def exact_transition_matrix(ps: PathSet) -> list[list[Fraction]]:
                 t[i][j] = proposal_probability(paths[i], paths[j], n)
         t[i][i] = one - sum(t[i])
     return t
+
+
+# ---------------------------------------------------------------------------
+# Helpers only the tests call: the validity half of is_successful_path and
+# the inverse of build_dr.
+
+def is_valid_path(g: BWGraph, path) -> bool:
+    """Each vertex must be black at its press time."""
+    return fold_path(g, path)[0] is None
+
+
+def dr_to_permutation(dr: DesireRealityGraph) -> SignedPermutation:
+    """Read the signed permutation back off the doubled sequence."""
+    elems = []
+    for t in range(dr.n):
+        a, b = dr.seq[2 * t + 1], dr.seq[2 * t + 2]
+        m = (max(a, b) + 1) // 2
+        elems.append(m if a < b else -m)
+    return SignedPermutation(tuple(elems))

@@ -20,6 +20,17 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def report_payload(capsys, tmp_path, argv):
+    r = tmp_path / "report.json"
+    code = run(capsys, *argv, "--report", str(r))[0]
+    return code, json.loads(r.read_text())["payload"]
+
+
+def payload_digest(payload):
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def test_press_example(capsys):
     code, out, _ = run(capsys, "press", "linear:WBW", "1")
     assert code == 0
@@ -100,9 +111,12 @@ def test_metagraph_exit_tracks_connectivity(capsys, tmp_path):
     assert dot.read_text().startswith("graph M {")
 
 
+N6_WITNESS = "6\nWWWWBB\n0 1\n1 2\n1 3\n2 4\n3 5\n4 5\n"
+
+
 def test_metagraph_n6_witness_needs_threshold_4(capsys, tmp_path):
     src = tmp_path / "witness.txt"
-    src.write_text("6\nWWWWBB\n0 1\n1 2\n1 3\n2 4\n3 5\n4 5\n")
+    src.write_text(N6_WITNESS)
     code, out, _ = run(capsys, "metagraph", str(src), "--threshold", "3")
     assert (code, out) == (
         1, "2 paths, 0 edges at threshold 3: DISCONNECTED (min connecting threshold 4)\n"
@@ -238,12 +252,31 @@ def test_sweep_report_verdict_field(capsys, tmp_path):
 def test_sweep_payload_is_pinned(capsys, tmp_path, argv, instances, digest):
     # rows, their order and every field; the digests were taken from sweeps
     # over the colour-string families that tests/oracles.py keeps
-    r = tmp_path / "sweep.json"
-    assert run(capsys, *argv, "--report", str(r))[0] == 0
-    payload = json.loads(r.read_text())["payload"]
+    code, payload = report_payload(capsys, tmp_path, argv)
+    assert code == 0
     assert payload["instances_checked"] == len(payload["stats"]) == instances
-    text = json.dumps(payload, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert payload_digest(payload) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (("metagraph", "linear:BWBB", "--threshold", "2"), 0, "9339740bf68d1317"),
+        (("metagraph", "linear:BWBWBW", "--threshold", "1"), 1, "872f8f15deedd12b"),
+        (("metagraph", "witness", "--threshold", "3"), 1, "b3e4169f58b83626"),
+        (("metagraph", "witness", "--threshold", "4"), 0, "96608bea343cfaca"),
+        (("sample", "linear:BWBB", "--steps", "20000", "--seed", "105"), 0,
+         "8df0908f2c26143c"),
+    ],
+)
+def test_graph_payload_is_pinned(capsys, tmp_path, monkeypatch, argv, code, digest):
+    # every field of the payload and its order, edge tuples and histogram
+    # included; "witness" is the n = 6 graph whose metagraph needs threshold 4
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "witness").write_text(N6_WITNESS)
+    got, payload = report_payload(capsys, tmp_path, argv)
+    assert got == code
+    assert payload_digest(payload) == digest
 
 
 def test_verify_general_cap_marks_incomplete(capsys, tmp_path):
@@ -273,6 +306,15 @@ def test_real_graph_over_the_default_cap(capsys, tmp_path):
         assert (code, out, err) == (2, "", "error: more than 1000000 successful paths\n")
     chain = run_chain(linear_graph("BWBWBWBWBWBWBW"), steps=2_000, seed=7)
     assert chain.tv_distance is None
+
+
+def test_negative_threshold_is_rejected_before_enumeration(capsys):
+    # the threshold is checked first, so an over-cap graph gets the same
+    # message as a small one and no path is counted
+    code, out, err = run(
+        capsys, "metagraph", "linear:BWBWBWBWBWBWBW", "--threshold", "-1"
+    )
+    assert (code, out, err) == (2, "", "error: threshold must be non-negative\n")
 
 
 def test_sample_report_and_reproducibility(capsys, tmp_path):

@@ -213,7 +213,7 @@ def test_sweep_order_matches_the_color_string_families():
     assert linear == solvable(linear_family(7))
     capped = verify_linear_family(3, cap=1).incomplete
     assert [g for g, _ in capped] == [
-        g for g in solvable(linear_family(3)) if len(enumerate_successful(g)) > 1
+        g for g in solvable(linear_family(3)) if len(enumerate_successful(g).paths) > 1
     ]
 
 

@@ -28,13 +28,13 @@ from pressgame.paths import (
     format_paths,
     greedy_solve,
     is_successful_path,
-    is_valid_path,
 )
 from pressgame.permrev import SignedPermutation, build_dr, build_overlap
 
 from gen import all_colorings, all_graphs_upto, random_graph, random_signed_permutation
 from oracles import (
     dfs_enumerate,
+    is_valid_path,
     iterated_safe_press,
     linear_family,
     naive_graph,

@@ -20,7 +20,6 @@ from pressgame.permrev import (
     build_overlap,
     cycle_count,
     desire_edge_span,
-    dr_to_permutation,
     parse_signed_permutation,
     reversal_distance_hurdle_free,
     reversal_on_desire_edge,
@@ -29,6 +28,7 @@ from pressgame.permrev import (
 from gen import random_signed_permutation
 from oracles import (
     all_signed_permutations,
+    dr_to_permutation,
     interval_overlap,
     reversal_distances,
     union_find_components,

@@ -5,11 +5,10 @@ from itertools import product
 
 import pytest
 
-from pressgame.bwgraph import BWGraph, linear_graph
+from pressgame.bwgraph import linear_graph
 from pressgame.errors import PathTooShortError, UnsolvableError
 from pressgame.paths import enumerate_successful, is_successful_path
 from pressgame.sampler import (
-    ChainState,
     _below,
     mh_step,
     proposal_probability,
@@ -24,9 +23,18 @@ from oracles import brute_force_proposal, exact_transition_matrix, union_find_co
 import random
 
 
-def make_state(colors, path, seed=0):
+def walk(colors, path, seed, steps):
+    """The path after each of steps mh_step calls from path, and the number
+    of accepted moves, as run_chain keeps them."""
     g = linear_graph(colors)
-    return ChainState(graph=g, current=path, rng=random.Random(seed))
+    bits = random.Random(seed).getrandbits
+    visits, accepted = [], 0
+    for _ in range(steps):
+        cand = mh_step(g, path, bits)
+        if cand is not None:
+            path, accepted = cand, accepted + 1
+        visits.append(path)
+    return visits, accepted
 
 
 def test_proposal_probability_examples():
@@ -78,10 +86,9 @@ def test_short_paths_cannot_propose():
     with pytest.raises(PathTooShortError):
         proposal_probability((0,), (1,), 2)
     with pytest.raises(PathTooShortError):
-        propose(make_state("B", (0,)))
-    empty = ChainState(graph=BWGraph(0, 0, ()), current=(0, 0), rng=random.Random(0))
+        propose((0,), 1, random.Random(0).getrandbits)
     with pytest.raises(ValueError):
-        propose(empty)
+        propose((0, 0), 0, random.Random(0).getrandbits)  # no vertices to draw
 
 
 def test_below_reads_the_same_stream_as_randrange():
@@ -98,36 +105,30 @@ def test_below_reads_the_same_stream_as_randrange():
 
 
 def test_propose_draws_are_realizable():
-    s = make_state("BBB", (0, 2, 1), seed=11)
+    path, bits = (0, 2, 1), random.Random(11).getrandbits
     for _ in range(50):
-        cand = propose(s)
+        cand = propose(path, 3, bits)
         assert len(cand) == 3
-        q_fwd = proposal_probability(s.current, cand, 3)
+        q_fwd = proposal_probability(path, cand, 3)
         assert q_fwd > 0  # the drawn candidate is by construction reachable
-        assert q_fwd == proposal_probability(cand, s.current, 3)
+        assert q_fwd == proposal_probability(cand, path, 3)
 
 
 def test_mh_step_counts_and_keeps_validity():
-    s = make_state("WBW", (1, 0), seed=5)
-    for _ in range(200):
-        mh_step(s)
-        assert is_successful_path(s.graph, s.current)
-    assert 0 < s.accept_count <= 200
+    visits, accepted = walk("WBW", (1, 0), seed=5, steps=200)
+    g = linear_graph("WBW")
+    assert all(is_successful_path(g, p) for p in visits)
+    assert 0 < accepted <= 200
 
 
 def test_mh_step_reaches_the_other_solution():
-    s = make_state("BBB", (0, 2, 1), seed=1)
-    seen = set()
-    for _ in range(500):
-        mh_step(s)
-        seen.add(s.current)
-    assert seen == {(0, 2, 1), (2, 0, 1)}
+    visits, _ = walk("BBB", (0, 2, 1), seed=1, steps=500)
+    assert set(visits) == {(0, 2, 1), (2, 0, 1)}
 
 
 def test_degenerate_chain_stays_put():
-    s = make_state("B", (0,))
-    mh_step(s)
-    assert s.current == (0,) and s.accept_count == 0
+    assert mh_step(linear_graph("B"), (0,), random.Random(0).getrandbits) is None
+    assert walk("B", (0,), seed=0, steps=1) == ([(0,)], 0)
 
 
 def test_run_chain_support_and_tv():
