@@ -12,14 +12,18 @@ edge list (labeled graphs: ascending edge mask over combinations(range(n),
 Edges are decided without comparing pairs.  Two paths of common length L
 have an LCS of at least L - k exactly when they share a subsequence of
 length L - k, so grouping path indices by each of their (L-k)-subsequences
-puts every edge inside some group.  That takes about P * C(L, k) dict
-operations for P paths, where all-pairs LCS takes P^2 / 2 LCS runs.
+puts every edge inside some group.  build_metagraph groups P paths by all
+P * C(L, k) keys at once; connectivity keys them by one kept-position set
+at a time and stops as soon as they connect, so its last pass rarely builds
+all P * C(L, d).  All-pairs LCS would take P^2 / 2 LCS runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
+from operator import itemgetter
 
 from .bwgraph import BWGraph, is_solvable
 from .errors import CapExceededError, EmptyPathSetError
@@ -54,16 +58,30 @@ def build_metagraph(ps: PathSet, k: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted({pair for g in _buckets(ps, k) for pair in combinations(g, 2)}))
 
 
+@cache
+def _kept_positions(length: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The ascending (length - d)-sets of positions, those whose d >= 1 dropped
+    positions lie closest together first, ties in combinations order."""
+    def spread(kept: tuple[int, ...]) -> int:
+        dropped = [i for i in range(length) if i not in kept]
+        return dropped[-1] - dropped[0]
+    return tuple(sorted(combinations(range(length), length - d), key=spread))
+
+
 def connectivity(ps: PathSet, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(min connecting threshold, metagraph components at threshold k).
 
-    The edges at threshold d include those at d - 1, so the buckets for
-    d = 0, 1, ... merge into one union-find until it is connected.  That
-    happens by d = common_length at the latest, where every path shares
-    the empty subsequence.
+    The edges at threshold d include those at d - 1, so passes d = 1, 2, ...
+    (distinct paths share no full-length key) merge into one union-find.
+    Pass d links each path to the pass's first path with the same key, one
+    kept-position set at a time, and stops once one component is left: by
+    d = common_length at the latest, where every path shares the key ().
     """
     _check_gate(ps, k)
-    parent = list(range(len(ps.paths)))
+    size = len(ps.paths)
+    if size == 1:
+        return 0, ((0,),)
+    parent = list(range(size))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -71,28 +89,25 @@ def connectivity(ps: PathSet, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]
             x = parent[x]
         return x
 
-    count = len(parent)
-    at_k = None
+    left = size
+    at_k = tuple((i,) for i in range(size)) if k == 0 else (tuple(range(size)),)
     d = 0
-    while True:
-        for first, *rest in _buckets(ps, d):
-            root = find(first)
-            for i in rest:
-                if (r := find(i)) != root:
-                    parent[r] = root
-                    count -= 1
-            if count == 1:
+    while left > 1:
+        d += 1
+        first: dict = {}
+        for kept in _kept_positions(ps.common_length, d):
+            keys = map(itemgetter(*kept), ps.paths) if kept else [()] * size
+            for i, j in enumerate(map(first.setdefault, keys, range(size))):
+                if i != j and (ri := find(i)) != (rj := find(j)):
+                    parent[ri] = rj
+                    left -= 1
+            if left == 1:
                 break
         if d == k:
             groups: dict[int, list[int]] = {}
-            for x in range(len(parent)):
+            for x in range(size):
                 groups.setdefault(find(x), []).append(x)
             at_k = tuple(tuple(g) for g in sorted(groups.values()))
-        if count == 1:
-            break
-        d += 1
-    if at_k is None:  # connected below k, so one component at k
-        at_k = (tuple(range(len(ps.paths))),)
     return d, at_k
 
 

@@ -22,6 +22,7 @@ from pressgame.bwgraph import (
     press,
 )
 from pressgame.errors import CapExceededError, EmptyPathSetError, UnsolvableError
+from pressgame.meta import _buckets
 from pressgame.paths import PathSet, find_safe_press
 from pressgame.permrev import DesireRealityGraph, SignedPermutation
 from pressgame.sampler import proposal_probability
@@ -261,6 +262,50 @@ def pairwise_lcs_gate(ps, k):
         if v == cutoff:
             components = tuple(comps)
     return min_k, components
+
+
+# ---------------------------------------------------------------------------
+# Metagraph gate by whole bucket passes (the package keys one kept-position
+# set at a time and stops each pass once the paths connect).
+
+def bucket_gate(ps, k):
+    """(min connecting threshold, metagraph components at threshold k).
+
+    The subsequence buckets for d = 0, 1, ... merge into one union-find
+    until it is connected, each pass bucketing every (L-d)-subsequence key
+    of every path before it merges any.
+    """
+    parent = list(range(len(ps.paths)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    count = len(parent)
+    at_k = None
+    d = 0
+    while True:
+        for first, *rest in _buckets(ps, d):
+            root = find(first)
+            for i in rest:
+                if (r := find(i)) != root:
+                    parent[r] = root
+                    count -= 1
+            if count == 1:
+                break
+        if d == k:
+            groups = {}
+            for x in range(len(parent)):
+                groups.setdefault(find(x), []).append(x)
+            at_k = tuple(tuple(g) for g in sorted(groups.values()))
+        if count == 1:
+            break
+        d += 1
+    if at_k is None:  # connected below k, so one component at k
+        at_k = (tuple(range(len(ps.paths))),)
+    return d, at_k
 
 
 # ---------------------------------------------------------------------------

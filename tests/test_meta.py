@@ -2,6 +2,7 @@
 
 import pytest
 
+from pressgame import meta
 from pressgame.bwgraph import BWGraph, is_solvable, linear_graph
 from pressgame.errors import EmptyPathSetError
 from pressgame.meta import (
@@ -16,6 +17,7 @@ from pressgame.paths import PathSet, enumerate_successful
 
 from gen import all_graphs_upto
 from oracles import (
+    bucket_gate,
     labeled_family,
     lcs_distinct,
     linear_family,
@@ -166,6 +168,40 @@ def test_connectivity_matches_pairwise_lcs_gate():
         assert connectivity(ps, 2) == pairwise_lcs_gate(ps, 2)
         checked += 1
     assert checked == 248
+
+
+def _gate_cases():
+    """(path set, k) over every solvable labeled graph with n <= 5 at
+    k = 0..4, then every solvable linear graph with n <= 8 at k = 0..3."""
+    for family, ks in ((labeled_family(5), range(5)), (linear_family(8), range(4))):
+        for g in family:
+            if is_solvable(g):
+                ps = enumerate_successful(g)
+                yield from ((ps, k) for k in ks)
+
+
+@pytest.mark.slow
+def test_connectivity_matches_bucket_gate():
+    checked = 0
+    for ps, k in _gate_cases():
+        assert connectivity(ps, k) == bucket_gate(ps, k)
+        checked += 1
+    assert checked == 31742 * 5 + 503 * 4
+
+
+def test_bucket_gate_check_catches_a_pass_cut_short(monkeypatch):
+    # keying each pass by its first kept-position set only must break the
+    # equality the check above asserts
+    kept_positions = meta._kept_positions
+    monkeypatch.setattr(meta, "_kept_positions", lambda length, d: kept_positions(length, d)[:1])
+    assert any(connectivity(ps, k) != bucket_gate(ps, k) for ps, k in _gate_cases())
+
+
+def test_kept_positions_put_close_drops_first():
+    assert meta._kept_positions(3, 1) == ((0, 1), (0, 2), (1, 2))
+    # dropped {2, 3}, {1, 2}, {0, 1} (spread 1), then {1, 3}, {0, 2}, then {0, 3}
+    assert meta._kept_positions(4, 2) == ((0, 1), (0, 3), (2, 3), (0, 2), (1, 3), (1, 2))
+    assert meta._kept_positions(2, 2) == ((),)
 
 
 def test_verify_instance_examples():

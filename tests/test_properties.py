@@ -1,5 +1,6 @@
 """Property tests over generated inputs (derandomized, so tier-1 stays
-deterministic): the graph text format and the press/reversal bridge."""
+deterministic): the graph text format, the press/reversal bridge and the
+metagraph gate."""
 
 import itertools
 
@@ -12,13 +13,16 @@ from pressgame.bwgraph import (
     parse_graph,
     press,
 )
-from pressgame.paths import greedy_solve
+from pressgame.meta import connectivity
+from pressgame.paths import PathSet, greedy_solve
 from pressgame.permrev import (
     SignedPermutation,
     build_dr,
     build_overlap,
     reversal_on_desire_edge,
 )
+
+from oracles import pairwise_lcs_gate
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -41,6 +45,16 @@ def signed_permutations(draw, n_max=8):
     order = draw(st.permutations(range(1, n + 1)))
     signs = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return SignedPermutation(tuple(-m if neg else m for m, neg in zip(order, signs)))
+
+
+@st.composite
+def path_sets(draw):
+    """2-12 distinct sequences of one length 1-7 over the vertices 0..9, none
+    repeating a vertex, as pressing paths are."""
+    length = draw(st.integers(1, 7))
+    rows = st.permutations(range(10)).map(lambda p: tuple(p[:length]))
+    paths = draw(st.lists(rows, min_size=2, max_size=12, unique=True))
+    return PathSet(graph=BWGraph.from_parts("W" * 10), paths=tuple(paths), common_length=length)
 
 
 def overlap_of(p):
@@ -66,3 +80,11 @@ def test_press_commutes_with_reversal_on_hurdle_free_permutations(p):
             assert overlap_of(reversal_on_desire_edge(p, k)) == press(g, k)
         p, g = reversal_on_desire_edge(p, v), press(g, v)
     assert p.is_identity()
+
+
+@FIXED
+@given(path_sets())
+def test_connectivity_matches_pairwise_lcs(ps):
+    # covers one-vertex keys, the empty key at d = L and thresholds above L
+    for k in range(ps.common_length + 2):
+        assert connectivity(ps, k) == pairwise_lcs_gate(ps, k)
