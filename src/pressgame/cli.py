@@ -89,7 +89,7 @@ def _sweep_payload(r: SweepReport) -> dict:
         "instances_checked": r.instances_checked,
         "failures": [
             {
-                "graph": _graph_payload(f.graph),
+                "graph": _graph_payload(f.path_set.graph),
                 "paths": [format_path(p) for p in f.path_set.paths],
                 "components": f.components,
             }
@@ -129,10 +129,8 @@ def _print_sweep(r: SweepReport) -> None:
         f"at threshold {r.threshold} ({r.family})"
     )
     for f in r.failures:
-        print(
-            f"counterexample: colors {f.graph.color_string()}, "
-            f"edges {f.graph.edges()}"
-        )
+        g = f.path_set.graph
+        print(f"counterexample: colors {g.color_string()}, edges {g.edges()}")
         print(f"  metagraph components: {[list(c) for c in f.components]}")
     for g, count in r.incomplete:
         print(

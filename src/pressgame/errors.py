@@ -63,7 +63,8 @@ class AlreadySolvedError(GameError):
 
 
 class CapExceededError(GameError):
-    """Enumeration found more paths than the cap allows; carries the running count."""
+    """Enumeration found more paths than the cap allows.  The count stops at
+    the first state over the cap, so count_so_far is always cap + 1."""
 
     def __init__(self, count_so_far: int):
         self.count_so_far = count_so_far

@@ -30,20 +30,6 @@ from .errors import CapExceededError, EmptyPathSetError
 from .paths import DEFAULT_CAP, PathSet, PressingPath, enumerate_successful, format_path
 
 
-def _buckets(ps: PathSet, k: int) -> list[list[int]]:
-    """Path indices grouped by a shared (L-k)-subsequence, groups of two or more.
-
-    A path never repeats a vertex, so its (L-k)-subsequences are distinct
-    and each group lists ascending indices without repeats.
-    """
-    groups: dict[PressingPath, list[int]] = {}
-    size = max(ps.common_length - k, 0)
-    for i, p in enumerate(ps.paths):
-        for key in combinations(p, size):
-            groups.setdefault(key, []).append(i)
-    return [g for g in groups.values() if len(g) > 1]
-
-
 def _check_gate(ps: PathSet, k: int) -> None:
     if not ps.paths:
         raise EmptyPathSetError("metagraph needs at least one path")
@@ -55,7 +41,15 @@ def build_metagraph(ps: PathSet, k: int) -> tuple[tuple[int, int], ...]:
     """Sorted index pairs (i, j), i < j, of the paths of ps with
     lcs >= common_length - k (`at most k less`, inclusive)."""
     _check_gate(ps, k)
-    return tuple(sorted({pair for g in _buckets(ps, k) for pair in combinations(g, 2)}))
+    # a path never repeats a vertex, so each group lists ascending indices once
+    groups: dict[PressingPath, list[int]] = {}
+    size = max(ps.common_length - k, 0)
+    for i, p in enumerate(ps.paths):
+        for key in combinations(p, size):
+            groups.setdefault(key, []).append(i)
+    buckets = [g for g in groups.values() if len(g) > 1]
+    del groups  # free the P * C(L, k) keys and one-path groups before the pairs grow
+    return tuple(sorted({pair for g in buckets for pair in combinations(g, 2)}))
 
 
 @cache
@@ -76,11 +70,10 @@ def connectivity(ps: PathSet, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]
     Pass d links each path to the pass's first path with the same key, one
     kept-position set at a time, and stops once one component is left: by
     d = common_length at the latest, where every path shares the key ().
+    A single path is one component already, so no pass runs: (0, ((0,),)).
     """
     _check_gate(ps, k)
     size = len(ps.paths)
-    if size == 1:
-        return 0, ((0,),)
     parent = list(range(size))
 
     def find(x: int) -> int:
@@ -125,7 +118,6 @@ class InstanceStats:
 class SweepFailure:
     """Disconnected-metagraph witness: the path set and its components."""
 
-    graph: BWGraph
     path_set: PathSet
     components: tuple[tuple[int, ...], ...]
 
@@ -134,10 +126,13 @@ class SweepFailure:
 class SweepReport:
     family: str
     threshold: int
-    instances_checked: int
     stats: tuple[InstanceStats, ...]
     failures: tuple[SweepFailure, ...]
     incomplete: tuple[tuple[BWGraph, int], ...]
+
+    @property
+    def instances_checked(self) -> int:
+        return len(self.stats)
 
     @property
     def verdict(self) -> str:
@@ -193,11 +188,10 @@ def _sweep(label: str, topologies, n_max: int, threshold: int, cap: int) -> Swee
                     continue
                 stats.append(row)
                 if not row.connected:
-                    failures.append(SweepFailure(g, ps, components))
+                    failures.append(SweepFailure(ps, components))
     return SweepReport(
         family=f"{label}, n <= {n_max}",
         threshold=threshold,
-        instances_checked=len(stats),
         stats=tuple(stats),
         failures=tuple(failures),
         incomplete=tuple(incomplete),

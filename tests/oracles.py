@@ -22,8 +22,7 @@ from pressgame.bwgraph import (
     press,
 )
 from pressgame.errors import CapExceededError, EmptyPathSetError, UnsolvableError
-from pressgame.meta import _buckets
-from pressgame.paths import PathSet, find_safe_press
+from pressgame.paths import PathSet, PressingPath, find_safe_press
 from pressgame.permrev import DesireRealityGraph, SignedPermutation
 from pressgame.sampler import proposal_probability
 
@@ -268,6 +267,20 @@ def pairwise_lcs_gate(ps, k):
 # Metagraph gate by whole bucket passes (the package keys one kept-position
 # set at a time and stops each pass once the paths connect).
 
+def whole_pass_buckets(ps: PathSet, k: int) -> list[list[int]]:
+    """Path indices grouped by a shared (L-k)-subsequence, groups of two or more.
+
+    A path never repeats a vertex, so its (L-k)-subsequences are distinct
+    and each group lists ascending indices without repeats.
+    """
+    groups: dict[PressingPath, list[int]] = {}
+    size = max(ps.common_length - k, 0)
+    for i, p in enumerate(ps.paths):
+        for key in itertools.combinations(p, size):
+            groups.setdefault(key, []).append(i)
+    return [g for g in groups.values() if len(g) > 1]
+
+
 def bucket_gate(ps, k):
     """(min connecting threshold, metagraph components at threshold k).
 
@@ -287,7 +300,7 @@ def bucket_gate(ps, k):
     at_k = None
     d = 0
     while True:
-        for first, *rest in _buckets(ps, d):
+        for first, *rest in whole_pass_buckets(ps, d):
             root = find(first)
             for i in rest:
                 if (r := find(i)) != root:

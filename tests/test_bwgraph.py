@@ -152,6 +152,13 @@ def test_constructor_rejects_broken_adjacency():
     ]:
         with pytest.raises(ValueError):
             BWGraph(n, colors, adj)
+    for n, colors, adj in [
+        (2, 0, (0,)),  # one row for two vertices
+        (2, 0b100, (0, 0)),  # colour bit 2 outside 0..1
+        (-1, 0, ()),
+    ]:
+        with pytest.raises(ValueError, match="^inconsistent graph fields$"):
+            BWGraph(n, colors, adj)
 
 
 def test_from_parts_equals_checked_constructor():
@@ -290,6 +297,17 @@ def test_parse_graph_errors():
         assert exc.value.line == line and str(exc.value) == msg
     with pytest.raises(GraphParseError):
         parse_graph("2\nBB\n0 5\n")
+    for text, line, msg in [
+        ("-1", 1, "vertex count must be non-negative"),
+        ("0\nB", 2, "unexpected content 'B' in empty graph"),
+        ("3", 2, "missing color line"),
+        ("3\nBXW", 2, "bad color 'X' at index 1"),
+        ("3\nBWB\n0 1 2", 3, "expected `u v`, got '0 1 2'"),
+        ("3\nBWB\n0 x", 3, "non-integer endpoint in '0 x'"),
+    ]:
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph(text)
+        assert exc.value.line == line and str(exc.value) == f"line {line}: {msg}"
 
 
 def test_graph_to_dot_mentions_all_vertices_and_edges():

@@ -84,12 +84,28 @@ def test_enumerate_cap_exceeded_is_input_error(capsys):
     assert code == 2 and "successful paths" in err
 
 
+def test_enumerate_parse_error_is_input_error(capsys, tmp_path):
+    f = tmp_path / "g.txt"
+    f.write_text("3\nBXW\n")
+    assert run(capsys, "enumerate", str(f)) == (
+        2, "", "error: line 2: bad color 'X' at index 1\n"
+    )
+
+
 def test_verify_linear_example(capsys):
     code, out, _ = run(capsys, "verify-linear", "--n-max", "3")
     assert code == 0
     assert out == (
         "PASS: 12 solvable instances at threshold 2 (linear graphs, n <= 3)\n"
     )
+    code, out, _ = run(capsys, "verify-linear", "--n-max", "5", "--threshold", "1")
+    assert code == 1
+    assert out.splitlines()[:3] == [
+        "FAIL: 58 solvable instances at threshold 1 (linear graphs, n <= 5)",
+        "counterexample: colors WBBW, edges [(0, 1), (1, 2), (2, 3)]",
+        "  metagraph components: [[0], [1]]",
+    ]
+    assert out.count("counterexample: ") == 19
 
 
 @pytest.mark.slow
@@ -243,17 +259,19 @@ def test_sweep_report_verdict_field(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, instances, digest",
+    "argv, code, instances, digest",
     [
-        (("verify-linear", "--n-max", "6"), 121, "95a8049056a5040b"),
-        (("verify-general", "--n-max", "3"), 63, "4dfdf4a422af751b"),
+        (("verify-linear", "--n-max", "6"), 0, 121, "95a8049056a5040b"),
+        (("verify-general", "--n-max", "3"), 0, 63, "4dfdf4a422af751b"),
+        (("verify-linear", "--n-max", "5", "--threshold", "1"), 1, 58, "8bace185336a9762"),
     ],
 )
-def test_sweep_payload_is_pinned(capsys, tmp_path, argv, instances, digest):
-    # rows, their order and every field; the digests were taken from sweeps
-    # over the colour-string families that tests/oracles.py keeps
-    code, payload = report_payload(capsys, tmp_path, argv)
-    assert code == 0
+def test_sweep_payload_is_pinned(capsys, tmp_path, argv, code, instances, digest):
+    # rows, their order and every field, failures included; the PASS
+    # digests were taken from sweeps over the colour-string families that
+    # tests/oracles.py keeps
+    got, payload = report_payload(capsys, tmp_path, argv)
+    assert got == code
     assert payload["instances_checked"] == len(payload["stats"]) == instances
     assert payload_digest(payload) == digest
 

@@ -93,7 +93,7 @@ def test_negative_threshold_rejected():
 
 def test_connectivity_examples():
     single = enumerate_successful(linear_graph("B"))
-    assert connectivity(single, 0) == (0, ((0,),))
+    assert connectivity(single, 0) == connectivity(single, 3) == (0, ((0,),))
     assert connectivity(enumerate_successful(linear_graph("WBW")), 2) == (1, ((0, 1),))
     # two disjoint paths: lcs 0 < 3 - 2, no edge until the gate is 3
     g = BWGraph.from_parts("WWWWWW")

@@ -6,8 +6,8 @@ from itertools import product
 import pytest
 
 from pressgame.bwgraph import linear_graph
-from pressgame.errors import PathTooShortError, UnsolvableError
-from pressgame.paths import enumerate_successful, is_successful_path
+from pressgame.errors import EmptyPathSetError, PathTooShortError, UnsolvableError
+from pressgame.paths import PathSet, enumerate_successful, is_successful_path
 from pressgame.sampler import (
     _below,
     mh_step,
@@ -43,6 +43,8 @@ def test_proposal_probability_examples():
     assert proposal_probability((0, 2, 1), (0, 2, 1), 3) > 0
     # proposable even though (0, 1) is not successful on W,B,W
     assert proposal_probability((1, 0), (0, 1), 3) > 0
+    # one draw keeps the length, so paths of another length are unreachable
+    assert proposal_probability((1, 0), (1, 0, 2), 3) == 0
 
 
 def test_proposal_probability_matches_draw_enumeration():
@@ -179,6 +181,10 @@ def test_tv_distance_examples():
     assert tv_distance({(1, 0): 9}, ps) == 0.5
     four = enumerate_successful(linear_graph("BWBB"))
     assert tv_distance({four.paths[0]: 3}, four) == 0.75
+    with pytest.raises(EmptyPathSetError):
+        tv_distance({(1, 0): 1}, PathSet(graph=ps.graph, paths=(), common_length=0))
+    with pytest.raises(ValueError, match="^histogram is empty$"):
+        tv_distance({}, ps)
 
 
 def test_transition_matrix_is_stochastic_and_in_detailed_balance():
