@@ -3,15 +3,17 @@
 Vertices are 0-indexed.  Colors and adjacency rows are stored as bitmasks,
 so a graph is a small hashable value and press returns a new graph
 instead of mutating.  Desk scale only: n is expected to stay at or below 32.
-The press rule lives in one place, the in-place row kernel _press_rows, run
-by press on a copy of one graph's rows, by fold_path along a whole path on
-one copy, and by the enumeration count in paths on raw rows with no graph
-object per state.
+The constructor checks symmetry by transposing the rows' w x w bit matrix
+(w = 2^k >= n) in log2(w) big-int steps, not edge by edge.  The press rule
+lives in one place, the in-place row kernel _press_rows, run by press on a
+copy of one graph's rows, by fold_path along a whole path on one copy, and by
+the enumeration count in paths on raw rows with no graph object per state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -39,9 +41,9 @@ def _bits(mask: int) -> Iterator[int]:
 class BWGraph:
     """Vertex colors plus symmetric irreflexive adjacency.
 
-    colors: bit v set means vertex v is black.
-    adj[v]: neighbor bitmask of v.  The constructor raises ValueError on
-    any row that is asymmetric, self-looped or reaches past vertex n-1.
+    colors: bit v set means vertex v is black.  adj[v]: neighbor bitmask of v.
+    The constructor raises ValueError on the lowest row that is asymmetric, self-looped
+    or reaches past vertex n-1, found by comparing the rows' bit matrix with its transpose.
     """
 
     n: int
@@ -52,9 +54,20 @@ class BWGraph:
         n, adj = self.n, self.adj
         if n < 0 or len(adj) != n or self.colors >> n:
             raise ValueError("inconsistent graph fields")
-        for v, row in enumerate(adj):
-            if row >> n or row >> v & 1 or any(not adj[u] >> v & 1 for u in _bits(row)):
-                raise ValueError(f"adjacency row {v} is not symmetric and irreflexive")
+        w = 1 << (n - 1).bit_length()
+        swaps, diag = _transpose_masks(w)
+        out = next((v for v, row in enumerate(adj) if row >> n), n)  # first row past n-1
+        m, full = 0, (1 << w) - 1
+        for row in reversed(adj):  # row v at bits v*w.., cut to its w bits
+            m = m << w | row & full
+        t = m
+        for shift, mask in swaps:  # t becomes the transpose of m
+            x = (t >> shift ^ t) & mask
+            t ^= x ^ x << shift
+        bad = (m & ~t | m & diag) & ((1 << out * w) - 1)  # one-sided or loop bits, rows < out
+        if bad or out < n:
+            v = ((bad & -bad).bit_length() - 1) // w if bad else out
+            raise ValueError(f"adjacency row {v} is not symmetric and irreflexive")
 
     @classmethod
     def from_parts(
@@ -84,6 +97,15 @@ class BWGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v]
+
+
+@cache
+def _transpose_masks(w: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The delta swaps (shift, mask) that transpose a w x w bit matrix, w = 2^k, and
+    its diagonal: swap s moves each cell (r, c) with bit s in c, not r, to (r+s, c-s)."""
+    swaps = [(s * (w - 1), sum(1 << i for i in range(w * w) if i % w & s and not i // w & s))
+             for s in (w >> k for k in range(1, w.bit_length()))]  # cell (r, c) is bit r*w+c
+    return tuple(swaps), sum(1 << v * (w + 1) for v in range(w))
 
 
 def _unchecked(n: int, colors: int, adj: tuple[int, ...]) -> BWGraph:

@@ -34,9 +34,10 @@ class SignedPermutation:
     elems: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(abs(x) for x in self.elems) != list(range(1, len(self.elems) + 1)):
+        ints = all(isinstance(x, int) for x in self.elems)  # 1.0 == 1 passes sorted()
+        if not ints or sorted(map(abs, self.elems)) != list(range(1, self.n + 1)):
             raise NotAPermutationError(
-                f"magnitudes of {self.elems} are not a permutation of 1..{len(self.elems)}"
+                f"magnitudes of {self.elems} are not a permutation of 1..{self.n}"
             )
 
     @property
@@ -97,8 +98,7 @@ def build_dr(p: SignedPermutation) -> DesireRealityGraph:
     0 and 2n+1."""
     seq = [0]
     for x in p.elems:
-        m = abs(x)
-        seq.extend((2 * m - 1, 2 * m) if x > 0 else (2 * m, 2 * m - 1))
+        seq.extend((2 * x - 1, 2 * x) if x > 0 else (-2 * x, -2 * x - 1))
     seq.append(2 * p.n + 1)
     return DesireRealityGraph(tuple(seq))
 
@@ -121,16 +121,19 @@ def build_overlap(dr: DesireRealityGraph) -> BWGraph:
     the labels inside it (an edge with both labels inside cancels out): a
     difference of two prefix XORs over seq.
     """
+    index = dr.index
     prefix = [0]
     for label in dr.seq:
         prefix.append(prefix[-1] ^ (1 << (label >> 1)))
     colors = 0
     adj = []
-    for k in range(dr.n + 1):
-        lo, hi = desire_edge_span(dr, k)
-        colors |= ((hi - lo - 1) % 2) << k
-        adj.append(prefix[hi - 1] ^ prefix[lo])
-    return BWGraph(dr.n + 1, colors, tuple(adj))
+    for k in range(len(index) >> 1):
+        a, b = index[2 * k], index[2 * k + 1]  # 0-based ends of desire edge k
+        if a > b:
+            a, b = b, a
+        colors |= ((b - a - 1) % 2) << k
+        adj.append(prefix[b] ^ prefix[a + 1])
+    return BWGraph(len(adj), colors, tuple(adj))
 
 
 def cycle_count(dr: DesireRealityGraph) -> int:

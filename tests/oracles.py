@@ -150,6 +150,28 @@ def labeled_family(n_max: int):
 
 
 # ---------------------------------------------------------------------------
+# The BWGraph constructor's check, row by row over every edge.
+
+def rowwise_graph_check(n, colors, adj):
+    """The ValueError message the constructor's check gives on these fields, or
+    None if it accepts them: the first row (lowest v) that reaches past n-1,
+    loops at v, or holds a neighbour u whose row lacks v is named."""
+    if n < 0 or len(adj) != n or colors >> n:
+        return "inconsistent graph fields"
+    for v, row in enumerate(adj):
+        if row >> n or row >> v & 1 or any(not adj[u] >> v & 1 for u in _set_bits(row)):
+            return f"adjacency row {v} is not symmetric and irreflexive"
+    return None
+
+
+def _set_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+# ---------------------------------------------------------------------------
 # Greedy solve by the public safe-press query, re-checked at every step.
 
 def iterated_safe_press(g):

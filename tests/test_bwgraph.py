@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from pressgame import bwgraph
 from pressgame.bwgraph import (
     BWGraph,
     apply_path,
@@ -29,7 +30,13 @@ from pressgame.paths import greedy_solve
 from pressgame.permrev import SignedPermutation, build_dr, build_overlap
 
 from gen import all_graphs, all_graphs_upto
-from oracles import naive_graph, naive_press, union_find_components, union_find_solvable
+from oracles import (
+    naive_graph,
+    naive_press,
+    rowwise_graph_check,
+    union_find_components,
+    union_find_solvable,
+)
 
 
 def as_naive(g):
@@ -145,12 +152,16 @@ def test_press_preserves_shape_invariants():
 
 
 def test_constructor_rejects_broken_adjacency():
-    for n, colors, adj in [
-        (2, 0b11, (0b10, 0)),  # edge 0 -> 1 without 1 -> 0
-        (1, 0b1, (0b1,)),  # self-loop at 0
-        (2, 0b01, (0b100, 0)),  # neighbour 2 outside 0..1
+    for n, colors, adj, row in [
+        (2, 0b11, (0b10, 0), 0),  # edge 0 -> 1 without 1 -> 0
+        (1, 0b1, (0b1,), 0),  # self-loop at 0
+        (2, 0b01, (0b100, 0), 0),  # neighbour 2 outside 0..1
+        (2, 0, (0, 0b1), 1),  # edge 1 -> 0 without 0 -> 1: the lower row passes
+        (3, 0, (0, 0b100, 0), 1),  # edge 1 -> 2 without 2 -> 1
+        (3, 0, (0, 0, 0b1000), 2),  # neighbour 3 outside 0..2
     ]:
-        with pytest.raises(ValueError):
+        message = f"^adjacency row {row} is not symmetric and irreflexive$"
+        with pytest.raises(ValueError, match=message):
             BWGraph(n, colors, adj)
     for n, colors, adj in [
         (2, 0, (0,)),  # one row for two vertices
@@ -159,6 +170,62 @@ def test_constructor_rejects_broken_adjacency():
     ]:
         with pytest.raises(ValueError, match="^inconsistent graph fields$"):
             BWGraph(n, colors, adj)
+
+
+def _constructor_verdict(n, colors, adj):
+    try:
+        BWGraph(n, colors, adj)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def _row_check_cases():
+    """Every n <= 3 row tuple over n + 1 bits or -1, then 20,000 seeded graphs with
+    n <= 70 (matrix widths 1 to 128), most carrying up to three injected faults."""
+    for n in range(4):
+        yield from ((n, 0, adj) for adj in itertools.product(range(-1, 2 << n), repeat=n))
+    rng = random.Random(70)
+    for _ in range(20_000):
+        n = rng.randint(1, 70)
+        adj = [0] * n
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            v, kind = rng.randrange(n), rng.randrange(4)
+            if kind == 0:  # one side of an edge added or dropped (or a loop toggled)
+                adj[v] ^= 1 << rng.randrange(n)
+            elif kind == 1:
+                adj[v] |= 1 << v
+            elif kind == 2:
+                adj[v] |= 1 << rng.randrange(n, 2 * n + 70)
+            else:
+                adj[v] = ~adj[v]
+        yield n, rng.getrandbits(n), tuple(adj)
+
+
+def test_constructor_matches_rowwise_oracle():
+    # the transposed-matrix check must accept and reject exactly what the
+    # row-by-row walk it replaced does, naming the same row
+    seen = {"accepted": 0, "rejected": 0}
+    for n, colors, adj in _row_check_cases():
+        got = _constructor_verdict(n, colors, adj)
+        assert got == rowwise_graph_check(n, colors, adj), (n, adj)
+        seen["accepted" if got is None else "rejected"] += 1
+    assert min(seen.values()) > 2_000
+
+
+def test_row_check_oracle_catches_a_transpose_cut_short(monkeypatch):
+    # a transpose that skips its last (single-cell) swap must break the
+    # equality the check above asserts
+    masks = bwgraph._transpose_masks
+    monkeypatch.setattr(bwgraph, "_transpose_masks", lambda w: (masks(w)[0][:-1], masks(w)[1]))
+    assert any(
+        _constructor_verdict(*case) != rowwise_graph_check(*case) for case in _row_check_cases()
+    )
 
 
 def test_from_parts_equals_checked_constructor():

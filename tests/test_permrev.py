@@ -62,6 +62,10 @@ def test_parse_examples():
         perm("+a")
     with pytest.raises(NotAPermutationError):
         perm("+1 +3")
+    # 1.0 == 1, so a magnitude check alone lets floats through to build_overlap
+    for elems in [(1.0,), (2.0, -1.0)]:
+        with pytest.raises(NotAPermutationError):
+            SignedPermutation(elems)
 
 
 def test_str_round_trip():
@@ -132,13 +136,14 @@ def _assert_matches_interval_oracle(p):
     assert hash(g) == hash(want)
 
 
+@pytest.mark.slow
 def test_overlap_matches_interval_oracle_exhaustive_small():
     checked = 0
-    for n in range(1, 6):
+    for n in range(1, 7):
         for elems in all_signed_permutations(n):
             _assert_matches_interval_oracle(SignedPermutation(elems))
             checked += 1
-    assert checked == 4282
+    assert checked == 4282 + 46080
 
 
 def test_overlap_matches_interval_oracle_sampled_n31():
