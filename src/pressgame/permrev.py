@@ -3,8 +3,8 @@
 A signed permutation is doubled into a framed unsigned sequence whose
 reality edges (adjacent position pairs) record the current order and whose
 desire edges (label pairs 2i, 2i+1) record the target order.  Everything
-here works on plain integers: one label-to-index table per doubled
-sequence, spans as (lo, hi) position pairs, and the overlap graph built
+here works on plain integers: the doubled sequence is a tuple of labels,
+spans are (lo, hi) position pairs, and the overlap graph is built
 straight into BWGraph bitmasks.  Pressing a black vertex of the overlap
 graph matches the reversal acting on that desire edge.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 from .bwgraph import BWGraph, is_solvable
 from .errors import (
@@ -51,30 +50,6 @@ class SignedPermutation:
         return all(x == i + 1 for i, x in enumerate(self.elems))
 
 
-@dataclass(frozen=True)
-class DesireRealityGraph:
-    """Framed unsigned doubling of a signed permutation.
-
-    seq holds the 2n+2 labels; seq[0] = 0 and seq[-1] = 2n+1.  Positions
-    are 1-indexed in the public operations.  Reality edges join positions
-    (2i-1, 2i); desire edges join labels (2i, 2i+1).  index[label] is the
-    0-based index of label in seq.
-    """
-
-    seq: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return (len(self.seq) - 2) // 2
-
-    @cached_property
-    def index(self) -> list[int]:
-        index = [0] * len(self.seq)
-        for idx, label in enumerate(self.seq):
-            index[label] = idx
-        return index
-
-
 def parse_signed_permutation(text: str) -> SignedPermutation:
     """Parse whitespace-separated signed integers; the sign is mandatory."""
     elems = []
@@ -93,79 +68,83 @@ def apply_reversal(p: SignedPermutation, i: int, j: int) -> SignedPermutation:
     return SignedPermutation(p.elems[:i] + mid + p.elems[j + 1 :])
 
 
-def build_dr(p: SignedPermutation) -> DesireRealityGraph:
-    """Double each element (+i -> 2i-1,2i; -i -> 2i,2i-1) and frame with
-    0 and 2n+1."""
+def build_dr(p: SignedPermutation) -> tuple[int, ...]:
+    """Framed unsigned doubling of a signed permutation: each element is
+    doubled (+i -> 2i-1,2i; -i -> 2i,2i-1) and the 2n+2 labels are framed by
+    0 and 2n+1.  Positions are 1-indexed in the public operations.  Reality
+    edges join positions (2i-1, 2i); desire edges join labels (2i, 2i+1)."""
     seq = [0]
     for x in p.elems:
         seq.extend((2 * x - 1, 2 * x) if x > 0 else (-2 * x, -2 * x - 1))
     seq.append(2 * p.n + 1)
-    return DesireRealityGraph(tuple(seq))
+    return tuple(seq)
 
 
-def desire_edge_span(dr: DesireRealityGraph, k: int) -> tuple[int, int]:
+def _positions(seq: tuple[int, ...]) -> list[int]:
+    """The 0-based index of each label in seq, indexed by label."""
+    index = [0] * len(seq)
+    for idx, label in enumerate(seq):
+        index[label] = idx
+    return index
+
+
+def desire_edge_span(seq: tuple[int, ...], k: int) -> tuple[int, int]:
     """1-based positions (lo, hi) of labels 2k and 2k+1, with lo < hi; the
     span covers the hi - lo - 1 positions strictly between them."""
-    if not 0 <= k <= dr.n:
-        raise IndexOutOfRangeError(f"desire edge {k} outside 0..{dr.n}")
-    a, b = dr.index[2 * k], dr.index[2 * k + 1]
+    if not 0 <= k < len(seq) // 2:
+        raise IndexOutOfRangeError(f"desire edge {k} outside 0..{len(seq) // 2 - 1}")
+    a, b = seq.index(2 * k), seq.index(2 * k + 1)
     return (a + 1, b + 1) if a < b else (b + 1, a + 1)
 
 
-def build_overlap(dr: DesireRealityGraph) -> BWGraph:
+def build_overlap(seq: tuple[int, ...]) -> BWGraph:
     """Overlap graph: one vertex per desire edge, black iff its span covers
     an odd number of positions, edges between strictly crossing spans.
 
     A span strictly crosses span k exactly when one of its two labels lies
     strictly inside span k, so row k is the XOR of the desire-edge bits of
-    the labels inside it (an edge with both labels inside cancels out): a
-    difference of two prefix XORs over seq.
+    the labels inside it (an edge with both labels inside cancels out): the
+    XOR of the prefix XORs at its two ends, less bit k of the lower end.
     """
-    index = dr.index
+    index = _positions(seq)
     prefix = [0]
-    for label in dr.seq:
+    for label in seq:
         prefix.append(prefix[-1] ^ (1 << (label >> 1)))
     colors = 0
     adj = []
     for k in range(len(index) >> 1):
-        a, b = index[2 * k], index[2 * k + 1]  # 0-based ends of desire edge k
-        if a > b:
-            a, b = b, a
-        colors |= ((b - a - 1) % 2) << k
-        adj.append(prefix[b] ^ prefix[a + 1])
+        a, b = index[2 * k], index[2 * k + 1]  # 0-based ends of desire edge k, either order
+        colors |= ((b - a - 1) % 2) << k  # same parity as |b - a| - 1
+        adj.append(prefix[a] ^ prefix[b] ^ 1 << k)
     return BWGraph(len(adj), colors, tuple(adj))
 
 
-def cycle_count(dr: DesireRealityGraph) -> int:
+def cycle_count(seq: tuple[int, ...]) -> int:
     """Cycles of the 2-regular multigraph holding all reality and desire
-    edges; the traversal alternates between the two edge kinds."""
-    seq, index = dr.seq, dr.index
-    visited = [False] * len(seq)
-    cycles = 0
+    edges.  A reality edge then a desire edge lead each label to the next
+    one a traversal meets, and each cycle splits into two orbits of that
+    map, one per direction of travel."""
+    index = _positions(seq)
+    seen = [False] * len(seq)
+    orbits = 0
     for start in range(len(seq)):
-        if visited[start]:
-            continue
-        cycles += 1
+        orbits += not seen[start]
         label = start
-        while True:
-            visited[label] = True
-            partner = seq[index[label] ^ 1]  # reality edge within the position pair
-            visited[partner] = True
-            label = partner ^ 1  # desire edge within the label pair
-            if label == start:
-                break
-    return cycles
+        while not seen[label]:
+            seen[label] = True
+            label = seq[index[label] ^ 1] ^ 1  # reality partner, then its desire partner
+    return orbits // 2
 
 
 def reversal_distance_hurdle_free(p: SignedPermutation) -> int:
     """n+1-c for permutations whose overlap graph has no non-trivial
     unoriented component (hurdle detection is out of scope)."""
-    dr = build_dr(p)
-    if not is_solvable(build_overlap(dr)):
+    seq = build_dr(p)
+    if not is_solvable(build_overlap(seq)):
         raise HurdleRiskError(
             f"{p} has a non-trivial unoriented component; hurdle-free formula not applicable"
         )
-    return p.n + 1 - cycle_count(dr)
+    return p.n + 1 - cycle_count(seq)
 
 
 def reversal_on_desire_edge(p: SignedPermutation, k: int) -> SignedPermutation:

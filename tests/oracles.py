@@ -23,7 +23,7 @@ from pressgame.bwgraph import (
 )
 from pressgame.errors import CapExceededError, EmptyPathSetError, UnsolvableError
 from pressgame.paths import PathSet, PressingPath, find_safe_press
-from pressgame.permrev import DesireRealityGraph, SignedPermutation
+from pressgame.permrev import SignedPermutation
 from pressgame.sampler import proposal_probability
 
 
@@ -151,6 +151,15 @@ def labeled_family(n_max: int):
 
 # ---------------------------------------------------------------------------
 # The BWGraph constructor's check, row by row over every edge.
+
+def cellwise_transpose_masks(w):
+    """The transpose swaps and diagonal of a w x w bit matrix (cell (r, c) is
+    bit r*w+c), one cell at a time: swap s takes the cells with bit s in c,
+    not in r, and the diagonal the cells with r == c."""
+    swaps = [(s * (w - 1), sum(1 << i for i in range(w * w) if i % w & s and not i // w & s))
+             for s in (w >> k for k in range(1, w.bit_length()))]
+    return tuple(swaps), sum(1 << v * (w + 1) for v in range(w))
+
 
 def rowwise_graph_check(n, colors, adj):
     """The ValueError message the constructor's check gives on these fields, or
@@ -393,15 +402,22 @@ class Interval:
         return a.lo < b.lo < a.hi < b.hi
 
 
-def interval_overlap(seq):
-    """Overlap graph of a doubled sequence: desire edge k (labels 2k, 2k+1)
-    is black iff its interval covers an odd number of positions, and two
-    desire edges are adjacent iff their intervals strictly cross."""
+def interval_spans(seq):
+    """The interval of each desire edge k (labels 2k, 2k+1) of a doubled
+    sequence, read from a label -> 1-based position dict."""
     pos = {label: idx + 1 for idx, label in enumerate(seq)}
     spans = []
     for k in range(len(seq) // 2):
         a, b = pos[2 * k], pos[2 * k + 1]
         spans.append(Interval(min(a, b), max(a, b)))
+    return spans
+
+
+def interval_overlap(seq):
+    """Overlap graph of a doubled sequence: desire edge k is black iff its
+    interval covers an odd number of positions, and two desire edges are
+    adjacent iff their intervals strictly cross."""
+    spans = interval_spans(seq)
     colors = ["B" if s.covered() % 2 else "W" for s in spans]
     edges = [
         (j, k)
@@ -472,11 +488,11 @@ def is_valid_path(g: BWGraph, path) -> bool:
     return fold_path(g, path)[0] is None
 
 
-def dr_to_permutation(dr: DesireRealityGraph) -> SignedPermutation:
+def dr_to_permutation(seq: tuple[int, ...]) -> SignedPermutation:
     """Read the signed permutation back off the doubled sequence."""
     elems = []
-    for t in range(dr.n):
-        a, b = dr.seq[2 * t + 1], dr.seq[2 * t + 2]
+    for t in range(len(seq) // 2 - 1):
+        a, b = seq[2 * t + 1], seq[2 * t + 2]
         m = (max(a, b) + 1) // 2
         elems.append(m if a < b else -m)
     return SignedPermutation(tuple(elems))

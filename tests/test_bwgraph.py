@@ -31,6 +31,7 @@ from pressgame.permrev import SignedPermutation, build_dr, build_overlap
 
 from gen import all_graphs, all_graphs_upto
 from oracles import (
+    cellwise_transpose_masks,
     naive_graph,
     naive_press,
     rowwise_graph_check,
@@ -228,6 +229,12 @@ def test_row_check_oracle_catches_a_transpose_cut_short(monkeypatch):
     )
 
 
+def test_transpose_masks_match_cellwise_oracle():
+    # the masks are tiled by doubling; the oracle sets one cell at a time
+    for k in range(8):
+        assert bwgraph._transpose_masks(1 << k) == cellwise_transpose_masks(1 << k)
+
+
 def test_from_parts_equals_checked_constructor():
     # from_parts skips the constructor's row check; it must build the same
     # value the checked constructor accepts, edge order and repeats aside
@@ -302,13 +309,15 @@ def test_classify_components_matches_union_find():
 
 
 def test_is_solvable_matches_union_find_rule_on_greedy_press_states():
-    # the reversal_sort bench family: seed 3, 128 hurdle-free n = 31 inputs;
-    # at each state of the greedy solve, every black press is checked and the
-    # lowest solvable one must be the greedy step
+    # the reversal_sort bench family: seed 3, 128 hurdle-free n = 31 inputs,
+    # which are its first 128 draws (a bounded loop, so a broken build_dr
+    # fails here rather than drawing forever); at each state of the greedy
+    # solve, every black press is checked and the lowest solvable one must be
+    # the greedy step
     rng = random.Random(3)
     states = 0
     solved = 0
-    while solved < 128:
+    for _ in range(128):
         order = list(range(1, 32))
         rng.shuffle(order)
         p = SignedPermutation(tuple(m if rng.random() < 0.5 else -m for m in order))
@@ -330,6 +339,7 @@ def test_is_solvable_matches_union_find_rule_on_greedy_press_states():
             assert safe[0] == step
             h = press(h, step)
         assert is_all_white_empty(h)
+    assert solved == 128
     assert states == 32_752
 
 

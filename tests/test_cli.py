@@ -2,16 +2,23 @@
 
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pressgame
 from pressgame.bwgraph import format_graph, linear_graph
 from pressgame.cli import load_graph, main
 from pressgame.errors import CapExceededError, GraphParseError, SelfLoopError
-from pressgame.permrev import build_dr, build_overlap, parse_signed_permutation
+from pressgame.permrev import SignedPermutation, build_dr, build_overlap, parse_signed_permutation
 from pressgame.sampler import run_chain
 
-from gen import all_graphs_upto
+from gen import all_graphs_upto, random_signed_permutation
+from oracles import interval_overlap
 
 
 def run(capsys, *argv):
@@ -66,6 +73,20 @@ def test_overlap_output_and_dot(capsys, tmp_path):
     assert lines[0] == "7" and lines[1] == "BBWWWBB"
     assert len(lines) == 2 + 13
     assert dot.read_text().startswith("graph G {")
+
+
+def test_overlap_of_a_700_element_permutation_in_a_fresh_process():
+    # 701 vertices: the constructor's check transposes a 1024 x 1024 bit
+    # matrix, whose masks a fresh process must build in well under the limit
+    p = SignedPermutation(random_signed_permutation(random.Random(700), 700))
+    src = Path(pressgame.__file__).parents[1]
+    script = "import sys; from pressgame.cli import main; sys.exit(main(sys.argv[1:]))"
+    done = subprocess.run(
+        [sys.executable, "-c", script, "overlap", str(p)],
+        capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == format_graph(interval_overlap(build_dr(p)))
 
 
 def test_enumerate_example(capsys):

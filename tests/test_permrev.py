@@ -30,6 +30,7 @@ from oracles import (
     all_signed_permutations,
     dr_to_permutation,
     interval_overlap,
+    interval_spans,
     reversal_distances,
     union_find_components,
 )
@@ -96,9 +97,9 @@ def test_apply_reversal_is_involution():
 
 
 def test_build_dr_examples():
-    assert build_dr(perm("+1")).seq == (0, 1, 2, 3)
-    assert build_dr(perm("-1")).seq == (0, 2, 1, 3)
-    assert build_dr(perm(FIG1)).seq == FIG1_SEQ
+    assert build_dr(perm("+1")) == (0, 1, 2, 3)
+    assert build_dr(perm("-1")) == (0, 2, 1, 3)
+    assert build_dr(perm(FIG1)) == FIG1_SEQ
 
 
 def test_dr_round_trip_recovers_permutation():
@@ -116,6 +117,21 @@ def test_desire_edge_span_examples():
         desire_edge_span(dr, 7)
 
 
+def test_desire_edge_span_matches_interval_oracle_everywhere():
+    # every k of every n <= 4 input, and the first k past each end, where
+    # seq.index alone would raise ValueError
+    for n in range(1, 5):
+        for elems in all_signed_permutations(n):
+            seq = build_dr(SignedPermutation(elems))
+            spans = interval_spans(seq)
+            assert [desire_edge_span(seq, k) for k in range(n + 1)] == [
+                (s.lo, s.hi) for s in spans
+            ]
+            for k in (-1, n + 1):
+                with pytest.raises(IndexOutOfRangeError):
+                    desire_edge_span(seq, k)
+
+
 def test_overlap_identity_is_isolated_white():
     g = overlap_of(perm("+1 +2"))
     assert g.n == 3
@@ -130,8 +146,8 @@ def test_overlap_of_negated_singleton():
 
 
 def _assert_matches_interval_oracle(p):
-    dr = build_dr(p)
-    g, want = build_overlap(dr), interval_overlap(dr.seq)
+    seq = build_dr(p)
+    g, want = build_overlap(seq), interval_overlap(seq)
     assert g == want
     assert hash(g) == hash(want)
 
@@ -172,12 +188,12 @@ def test_cycle_count_examples():
 
 def test_cycle_count_matches_component_count():
     # independent route: cycles of a 2-regular multigraph are its components
-    for elems in all_signed_permutations(3):
-        dr = build_dr(SignedPermutation(elems))
-        labels = len(dr.seq)
-        edges = [(dr.seq[i], dr.seq[i + 1]) for i in range(0, labels, 2)]
+    for elems in (e for n in range(1, 6) for e in all_signed_permutations(n)):
+        seq = build_dr(SignedPermutation(elems))
+        labels = len(seq)
+        edges = [(seq[i], seq[i + 1]) for i in range(0, labels, 2)]
         edges += [(2 * i, 2 * i + 1) for i in range(labels // 2)]
-        assert cycle_count(dr) == len(union_find_components(labels, edges))
+        assert cycle_count(seq) == len(union_find_components(labels, edges))
 
 
 def test_single_reversal_changes_cycles_by_at_most_one():

@@ -4,9 +4,12 @@ import ast
 import importlib
 import io
 import re
+import shlex
 import tokenize
 from pathlib import Path
 from types import SimpleNamespace
+
+from pressgame.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pressgame"
@@ -75,3 +78,17 @@ def test_readme_python_blocks_run_and_match_their_comments():
             assert got == want, ast.unparse(stmt)
             checked += 1
     assert checked == 9
+
+
+def test_readme_command_line_block_prints_what_it_shows(capsys):
+    # each `$ pressgame ...` line of the block under "Command line" runs
+    # through cli.main and must print exactly the lines below it
+    block = re.search(r"^## Command line\n.*?^```\n(.*?)^```", (ROOT / "README.md").read_text(),
+                      re.S | re.M).group(1)
+    examples = block.split("\n\n")
+    for example in examples:
+        command, _, want = example.partition("\n")
+        assert command.startswith("$ pressgame "), command
+        assert main(shlex.split(command)[2:]) == 0, command
+        assert capsys.readouterr().out == want.rstrip("\n") + "\n", command
+    assert len(examples) == 6
