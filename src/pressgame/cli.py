@@ -6,9 +6,9 @@ enumerate, metagraph, verify-linear, verify-general, sample.  Exit codes:
 found, 2 input or usage error (including sweeps left incomplete by the
 enumeration cap, which verify nothing either way).
 
-Reports are JSON with sorted keys so that reruns of a deterministic
-command diff cleanly; wall_time is the one field excluded from that
-stability guarantee.
+Reports are built only under --report, as JSON with sorted keys so that
+reruns of a deterministic command diff cleanly; wall_time is the one field
+excluded from that stability guarantee.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from functools import partial
+from typing import Callable
 
 from . import __version__
 from .bwgraph import (
@@ -47,6 +48,7 @@ from .permrev import (
 from .sampler import ChainReport, run_chain
 
 _VERDICT_EXIT = {"PASS": 0, "FAIL": 1, "INCOMPLETE": 2}
+Outcome = tuple[int, Callable[[], dict], str]  # exit code, --report payload builder, input
 
 
 def load_graph(source: str) -> BWGraph:
@@ -103,7 +105,7 @@ def _sweep_payload(r: SweepReport) -> dict:
             {
                 "graph": _graph_payload(s.graph),
                 "path_count": s.path_count,
-                "connected": s.connected,
+                "connected": s.min_threshold <= r.threshold,
                 "min_threshold": s.min_threshold,
             }
             for s in r.stats
@@ -139,69 +141,69 @@ def _print_sweep(r: SweepReport) -> None:
         )
 
 
-def cmd_press(args) -> tuple[int, dict, str]:
+def cmd_press(args) -> Outcome:
     g = load_graph(args.graph)
     h = apply_path(g, args.vertices)
     sys.stdout.write(format_graph(h))
-    return 0, _graph_payload(h), args.graph
+    return 0, partial(_graph_payload, h), args.graph
 
 
-def cmd_overlap(args) -> tuple[int, dict, str]:
+def cmd_overlap(args) -> Outcome:
     p = parse_signed_permutation(args.perm)
     g = build_overlap(build_dr(p))
     sys.stdout.write(format_graph(g))
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(graph_to_dot(g))
-    return 0, {"permutation": str(p), "overlap": _graph_payload(g)}, args.perm
+    return 0, lambda: {"permutation": str(p), "overlap": _graph_payload(g)}, args.perm
 
 
-def cmd_distance(args) -> tuple[int, dict, str]:
+def cmd_distance(args) -> Outcome:
     p = parse_signed_permutation(args.perm)
     d = reversal_distance_hurdle_free(p)
     print(d)
-    return 0, {"permutation": str(p), "distance": d}, args.perm
+    return 0, lambda: {"permutation": str(p), "distance": d}, args.perm
 
 
-def cmd_enumerate(args) -> tuple[int, dict, str]:
+def cmd_enumerate(args) -> Outcome:
     g = load_graph(args.graph)
     ps = enumerate_successful(g, args.cap)
     print(f"{len(ps.paths)} paths of common length {ps.common_length}")
     sys.stdout.write(format_paths(ps))
-    return 0, _pathset_payload(ps), args.graph
+    return 0, partial(_pathset_payload, ps), args.graph
 
 
-def cmd_metagraph(args) -> tuple[int, dict, str]:
+def cmd_metagraph(args) -> Outcome:
     g = load_graph(args.graph)
     row, ps, _ = verify_instance(g, args.threshold)
     edges = build_metagraph(ps, args.threshold)
+    connected = row.min_threshold <= args.threshold
     print(
         f"{row.path_count} paths, {len(edges)} edges at threshold "
-        f"{args.threshold}: {'connected' if row.connected else 'DISCONNECTED'} "
+        f"{args.threshold}: {'connected' if connected else 'DISCONNECTED'} "
         f"(min connecting threshold {row.min_threshold})"
     )
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(metagraph_to_dot(ps, edges))
-    payload = {
+    return (0 if connected else 1), lambda: {
         "graph": _graph_payload(g),
         "threshold": args.threshold,
-        "connected": row.connected,
+        "connected": connected,
         "min_connect_threshold": row.min_threshold,
         "edge_count": len(edges),
         "edges": edges,
         **_pathset_payload(ps),
-    }
-    return (0 if row.connected else 1), payload, args.graph
+    }, args.graph
 
 
-def cmd_verify(args) -> tuple[int, dict, str]:
+def cmd_verify(args) -> Outcome:
     r = args.sweep(args.n_max, args.threshold, args.cap)
     _print_sweep(r)
-    return _VERDICT_EXIT[r.verdict], _sweep_payload(r), r.family
+    return _VERDICT_EXIT[r.verdict], partial(_sweep_payload, r), r.family
 
 
-def cmd_sample(args) -> tuple[int, dict, str]:
+def cmd_sample(args) -> Outcome:
     g = load_graph(args.graph)
     r = run_chain(g, steps=args.steps, burn_in=args.burn_in, seed=args.seed)
     tv = "n/a (cap exceeded)" if r.tv_distance is None else f"{r.tv_distance:.4f}"
@@ -211,7 +213,7 @@ def cmd_sample(args) -> tuple[int, dict, str]:
     )
     for p, count in sorted(r.histogram.items()):
         print(f"  {format_path(p)}: {count}")
-    return 0, _chain_payload(r), args.graph
+    return 0, partial(_chain_payload, r), args.graph
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,7 +302,7 @@ def main(argv=None) -> int:
         report = {
             "command": list(argv),
             "input": source,
-            "payload": payload,
+            "payload": payload(),
             "version": __version__,
             "wall_time": time.perf_counter() - start,
         }

@@ -106,11 +106,11 @@ def connectivity(ps: PathSet, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]
 
 @dataclass(frozen=True)
 class InstanceStats:
-    """Per-instance sweep record: one solved graph and its metagraph facts."""
+    """Per-instance sweep record: one solved graph and its metagraph facts.
+    The metagraph is connected at threshold k exactly when k >= min_threshold."""
 
     graph: BWGraph
     path_count: int
-    connected: bool
     min_threshold: int
 
 
@@ -156,12 +156,7 @@ def verify_instance(
         raise ValueError("threshold must be non-negative")
     ps = enumerate_successful(g, cap)
     min_k, components = connectivity(ps, k)
-    stats = InstanceStats(
-        graph=g,
-        path_count=len(ps.paths),
-        connected=len(components) == 1,
-        min_threshold=min_k,
-    )
+    stats = InstanceStats(graph=g, path_count=len(ps.paths), min_threshold=min_k)
     return stats, ps, components
 
 
@@ -187,7 +182,7 @@ def _sweep(label: str, topologies, n_max: int, threshold: int, cap: int) -> Swee
                     incomplete.append((g, exc.count_so_far))
                     continue
                 stats.append(row)
-                if not row.connected:
+                if row.min_threshold > threshold:
                     failures.append(SweepFailure(ps, components))
     return SweepReport(
         family=f"{label}, n <= {n_max}",

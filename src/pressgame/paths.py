@@ -5,7 +5,8 @@ raw press states (colors, adjacency rows).  A memoised count records, for
 each reachable state, its path count, their common length and its live
 moves: the black vertices, ascending, whose press leaves a state with a
 path.  The count stops as soon as one state has more than the cap's
-paths, so it never visits the whole state space of an over-cap graph.  A
+paths, but a press that leaves an unsolvable state heads a subtree with no
+paths, which the cap cannot stop, so the count may visit all of it.  A
 walk over the live moves then lists the paths in the same lexicographic
 order a depth-first search would, so two runs are byte-identical; the walk
 presses nothing and enters no dead end.
@@ -25,7 +26,7 @@ from .bwgraph import (
     is_solvable,
     press,
 )
-from .errors import AlreadySolvedError, CapExceededError, UnsolvableError
+from .errors import AlreadySolvedError, CapExceededError, GameError, UnsolvableError
 
 PressingPath = tuple[int, ...]
 # (v, live moves of the state that pressing v leaves), v ascending
@@ -55,18 +56,17 @@ def enumerate_successful(g: BWGraph, cap: int = DEFAULT_CAP) -> PathSet:
     The cap is decided by the count before any path is built.  The count
     stops as soon as one state has more than cap paths (every state it
     visits is reached by a valid prefix, so the root has at least as many),
-    so its work grows with the cap, not with the state space.  Raises
-    UnsolvableError when no successful path can exist and CapExceededError
-    (never a silent truncation) with count_so_far cap + 1 when there are
-    more than cap paths.
+    but subtrees with no path add to its work and never to the count, so
+    that work is not bounded by the cap.  Raises UnsolvableError when no
+    successful path can exist, CapExceededError (never a silent truncation)
+    with count_so_far cap + 1 when there are more than cap paths, and
+    GameError when the paths are too long (about 1,000 presses) for
+    Python's recursion limit.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if not is_solvable(g):
         raise UnsolvableError("graph has a non-trivial unoriented component")
-    count, length, moves = _count(g.colors, g.adj, cap, {})
-    if not count:
-        raise AssertionError("a solvable graph must have a successful path")
     found: list[PressingPath] = []
     prefix: list[int] = []
 
@@ -78,7 +78,13 @@ def enumerate_successful(g: BWGraph, cap: int = DEFAULT_CAP) -> PathSet:
             walk(child_moves)
             prefix.pop()
 
-    walk(moves)
+    try:  # both passes recurse once per press
+        count, length, moves = _count(g.colors, g.adj, cap, {})
+        walk(moves)
+    except RecursionError:
+        raise GameError("successful paths too long to enumerate") from None
+    if not count:
+        raise AssertionError("a solvable graph must have a successful path")
     return PathSet(graph=g, paths=tuple(found), common_length=length)
 
 

@@ -2,10 +2,13 @@
 
 One move: delete an unordered pair of positions from the current path,
 then insert two (slot, label) choices drawn uniformly, and accept the
-result only if it is again a successful pressing path.  No Hastings
-correction is needed: q(P->Q) counts the deletion results P and Q share,
-over a denominator fixed by the path length and vertex count, so q is
-symmetric and the stationary distribution is uniform over the path set.
+result only if it is again a successful pressing path.  q(P->Q) counts the
+(L-2)-subsequences P and Q share, the keys meta.build_metagraph(ps, 2)
+groups paths by, over a denominator fixed by the length L and vertex count.
+So q is symmetric and needs no Hastings correction, and a move P -> Q != P
+exists exactly when P and Q are joined in the threshold-2 metagraph: the
+visits converge to uniform over the path set only when that metagraph is
+connected, and otherwise never leave the start path's component.
 proposal_probability gives q exactly, for the detailed-balance tests.
 
 Length-0 and length-1 paths admit no remove-2/add-2 move; those chains
@@ -18,6 +21,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .bwgraph import BWGraph
 from .errors import CapExceededError, EmptyPathSetError, PathTooShortError
@@ -41,33 +45,21 @@ class ChainReport:
     burn_in: int
 
 
-def _deletion_counts(path: PressingPath) -> Counter:
-    """Multiset of results of deleting each unordered position pair."""
-    c: Counter = Counter()
-    for i in range(len(path)):
-        head = path[:i]
-        tail = path[i + 1:]
-        for j in range(len(tail)):
-            c[head + tail[:j] + tail[j + 1:]] += 1
-    return c
-
-
 def proposal_probability(src: PressingPath, dst: PressingPath, n: int) -> Fraction:
     """Exact probability that one remove-2/add-2 draw turns src into dst.
 
     A draw is (deletion pair, first (slot, label), second (slot, label)),
     all uniform.  Each way of writing dst as src minus a position pair
     plus a final position pair is realized by exactly 2 insertion orders,
-    so the count reduces to matching deletion results of both paths.
+    so the count reduces to matching (L-2)-subsequences of both paths.
     """
     L = len(src)
     if L < 2:
         raise PathTooShortError(f"need at least 2 presses, path has {L}")
     if len(dst) != L:
         return Fraction(0)
-    cs = _deletion_counts(src)
-    cd = _deletion_counts(dst)
-    matches = sum(m * cd[r] for r, m in cs.items() if r in cd)
+    cd = Counter(combinations(dst, L - 2))
+    matches = sum(m * cd[r] for r, m in Counter(combinations(src, L - 2)).items())
     denom = (L * (L - 1) // 2) * (L - 1) * n * L * n
     return Fraction(2 * matches, denom)
 

@@ -1,7 +1,12 @@
 """Press semantics, components, solvability, and the graph text format."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +34,7 @@ from pressgame.errors import (
 from pressgame.paths import greedy_solve
 from pressgame.permrev import SignedPermutation, build_dr, build_overlap
 
-from gen import all_graphs, all_graphs_upto
+from gen import all_graphs, all_graphs_upto, random_signed_permutation
 from oracles import (
     cellwise_transpose_masks,
     naive_graph,
@@ -38,6 +43,9 @@ from oracles import (
     union_find_components,
     union_find_solvable,
 )
+
+
+SRC = Path(bwgraph.__file__).parents[1]
 
 
 def as_naive(g):
@@ -233,6 +241,32 @@ def test_transpose_masks_match_cellwise_oracle():
     # the masks are tiled by doubling; the oracle sets one cell at a time
     for k in range(8):
         assert bwgraph._transpose_masks(1 << k) == cellwise_transpose_masks(1 << k)
+
+
+def test_constructor_checks_an_8001_vertex_overlap_graph_in_a_fresh_process():
+    # past 64 rows the matrix is packed with one to_bytes per row, so the
+    # check stays linear in the matrix size; a fresh process also builds the
+    # transpose masks for w = 8192, and a one-sided edge must still be named
+    script = textwrap.dedent("""
+        import sys
+        from pressgame.bwgraph import BWGraph
+        from pressgame.permrev import SignedPermutation, build_dr, build_overlap
+        g = build_overlap(build_dr(SignedPermutation(tuple(map(int, sys.stdin.read().split())))))
+        assert BWGraph(g.n, g.colors, g.adj) == g
+        adj = list(g.adj)
+        adj[4321] |= 1 << next(u for u in range(4322, g.n) if not adj[4321] >> u & 1)
+        try:
+            BWGraph(g.n, g.colors, tuple(adj))
+        except ValueError as e:
+            print(g.n, e)
+    """)
+    perm = random_signed_permutation(random.Random(8000), 8000)
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=" ".join(map(str, perm)), capture_output=True,
+        text=True, timeout=20, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "8001 adjacency row 4321 is not symmetric and irreflexive\n"
 
 
 def test_from_parts_equals_checked_constructor():

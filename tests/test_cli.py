@@ -347,6 +347,40 @@ def test_real_graph_over_the_default_cap(capsys, tmp_path):
     assert chain.tv_distance is None
 
 
+def test_paths_too_long_to_recurse_are_input_errors(capsys):
+    # the count and the walk recurse once per press; past Python's recursion
+    # limit every command that enumerates exits 2 with one error line
+    one_long_path = "linear:B" + "W" * 1_100  # one path of 1,101 presses
+    for argv in (
+        ("enumerate", one_long_path),
+        ("metagraph", one_long_path, "--threshold", "2"),
+        ("sample", "linear:" + "BW" * 600, "--steps", "10"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (2, "error: successful paths too long to enumerate\n"), argv[0]
+
+
+def test_payloads_are_built_only_under_report(capsys, tmp_path, monkeypatch):
+    # each handler hands main a payload builder; without --report none runs
+    argvs = [
+        ("press", "linear:WBW", "1"),
+        ("enumerate", "linear:WBW"),
+        ("verify-linear", "--n-max", "3"),
+        ("sample", "linear:BWBB", "--steps", "500", "--seed", "3"),
+    ]
+    outs = [run(capsys, *argv) for argv in argvs]
+
+    def unused(*args):
+        raise AssertionError("payload built without --report")
+
+    for name in ("_graph_payload", "_pathset_payload", "_sweep_payload", "_chain_payload"):
+        monkeypatch.setattr(f"pressgame.cli.{name}", unused)
+    for argv, out in zip(argvs, outs):
+        assert out[0] == 0 and run(capsys, *argv) == out, argv[0]
+    with pytest.raises(AssertionError, match="payload built"):  # the patch took effect
+        main([*argvs[0], "--report", str(tmp_path / "r.json")])
+
+
 def test_negative_threshold_is_rejected_before_enumeration(capsys):
     # the threshold is checked first, so an over-cap graph gets the same
     # message as a small one and no path is counted

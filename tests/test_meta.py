@@ -205,12 +205,13 @@ def test_kept_positions_put_close_drops_first():
 
 
 def test_verify_instance_examples():
-    assert verify_instance(linear_graph("BBB"), 4)[0].connected
+    # a row is connected at threshold k exactly when k >= min_threshold
+    assert verify_instance(linear_graph("BBB"), 4)[0].min_threshold <= 4
     triangle = BWGraph.from_parts("BBB", [(0, 1), (1, 2), (0, 2)])
     row, ps, components = verify_instance(triangle, 4)
-    assert row.connected and row.path_count == 3 == len(ps.paths)
+    assert row.min_threshold <= 4 and row.path_count == 3 == len(ps.paths)
     assert components == ((0, 1, 2),)
-    assert verify_instance(linear_graph("B"), 0)[0].connected
+    assert verify_instance(linear_graph("B"), 0)[0].min_threshold == 0
 
 
 def test_verify_linear_family_small():
@@ -257,7 +258,19 @@ def test_verify_general_family_small():
     r = verify_general_family(3)
     assert r.verdict == "PASS"
     assert not r.failures
-    assert all(row.connected for row in r.stats)
+    assert all(row.min_threshold <= 4 for row in r.stats)
+
+
+def test_sweep_failures_are_the_rows_above_the_threshold():
+    # a sweep keeps no connected flag: its failures are exactly the rows
+    # whose min_threshold exceeds the sweep's threshold, each with the
+    # components verify_instance found
+    r = verify_linear_family(5, threshold=1)
+    above = [row.graph for row in r.stats if row.min_threshold > 1]
+    assert [f.path_set.graph for f in r.failures] == above and len(above) == 19
+    for f in r.failures:
+        assert len(f.components) > 1
+        assert f.components == verify_instance(f.path_set.graph, 1)[2]
 
 
 def test_metagraph_to_dot_layout():

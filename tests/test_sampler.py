@@ -5,8 +5,9 @@ from itertools import product
 
 import pytest
 
-from pressgame.bwgraph import linear_graph
+from pressgame.bwgraph import BWGraph, is_solvable, linear_graph
 from pressgame.errors import EmptyPathSetError, PathTooShortError, UnsolvableError
+from pressgame.meta import build_metagraph
 from pressgame.paths import PathSet, enumerate_successful, is_successful_path
 from pressgame.sampler import (
     _below,
@@ -17,7 +18,7 @@ from pressgame.sampler import (
     tv_distance,
 )
 
-from gen import all_colorings
+from gen import all_colorings, all_graphs_upto
 from oracles import brute_force_proposal, exact_transition_matrix, union_find_components
 
 import random
@@ -238,6 +239,40 @@ def test_chain_is_irreducible_on_linear_graphs():
             ]
             assert len(union_find_components(count, edges)) == 1, colors
     assert stuck == ["BB"]
+
+
+def test_moves_are_the_threshold_2_metagraph_edges():
+    # P -> Q != P has positive probability exactly when P and Q share an
+    # (L-2)-subsequence, the key build_metagraph(ps, 2) groups paths by
+    linear = (linear_graph(c) for n in range(1, 7) for c in all_colorings(n))
+    graphs = [*all_graphs_upto(4), *linear]
+    instances = pairs = joined = 0
+    for g in graphs:
+        if not is_solvable(g) or (ps := enumerate_successful(g)).common_length < 2:
+            continue
+        count = len(ps.paths)
+        moves = tuple(
+            (i, j)
+            for i in range(count)
+            for j in range(i + 1, count)
+            if proposal_probability(ps.paths[i], ps.paths[j], g.n) > 0
+        )
+        assert moves == build_metagraph(ps, 2), g
+        instances += 1
+        pairs += count * (count - 1) // 2
+        joined += len(moves)
+    assert (instances, pairs, joined) == (1060, 35827, 24214)
+
+
+def test_chain_stays_in_its_threshold_2_component():
+    # the n = 6 witness: its two paths 4 2 1 0 5 3 and 5 3 1 0 4 2 share no
+    # 4-subsequence, so no move joins them and the visits never reach uniform
+    g = BWGraph.from_parts("WWWWBB", [(0, 1), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5)])
+    ps = enumerate_successful(g)
+    assert build_metagraph(ps, 2) == () and len(ps.paths) == 2
+    for seed in range(5):
+        r = run_chain(g, steps=20_000, seed=seed)
+        assert len(r.histogram) == 1 and r.tv_distance == 0.5
 
 
 # run_chain(linear_graph(colors), steps, seed=seed) as recorded from the
