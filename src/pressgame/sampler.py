@@ -11,6 +11,10 @@ visits converge to uniform over the path set only when that metagraph is
 connected, and otherwise never leave the start path's component.
 proposal_probability gives q exactly, for the detailed-balance tests.
 
+Shortcuts that keep every trajectory: mh_step rejects a candidate that
+repeats a vertex unfolded, as a pressed vertex is left white and isolated;
+run_chain adds each run on one path to the histogram when the run ends.
+
 Length-0 and length-1 paths admit no remove-2/add-2 move; those chains
 are single-state by construction and run_chain reports them as such.
 """
@@ -105,7 +109,8 @@ def mh_step(g: BWGraph, path: PressingPath, bits) -> PressingPath | None:
     if len(path) < 2:
         return None
     cand = propose(path, g.n, bits)
-    return cand if is_successful_path(g, cand) else None
+    ok = len(set(cand)) == len(cand) and is_successful_path(g, cand)
+    return cand if ok else None
 
 
 def run_chain(
@@ -116,6 +121,9 @@ def run_chain(
 ) -> ChainReport:
     """Run the chain from a greedy solution, recording post-burn-in visits.
 
+    Each run on one path, from step t0 to the move accepted at t1, adds
+    t1 - max(t0, burn_in) visits, as one visit per step would; mh_step
+    skips the fold only for candidates the fold would reject.
     tv_distance compares the visit histogram against the uniform
     distribution over the exhaustively enumerated path set; it is None
     when the graph has more than paths.DEFAULT_CAP successful paths.
@@ -128,13 +136,15 @@ def run_chain(
     bits = random.Random(seed).getrandbits
     accepted = 0
     hist: Counter = Counter()
+    since = burn_in  # first counted step on the current path
     for t in range(steps):
         cand = mh_step(g, path, bits)
         if cand is not None:
-            path = cand
+            if t > since:
+                hist[path] += t - since
+            path, since = cand, max(t, burn_in)
             accepted += 1
-        if t >= burn_in:
-            hist[path] += 1
+    hist[path] += steps - since
     try:
         tv = tv_distance(hist, enumerate_successful(g))
     except CapExceededError:

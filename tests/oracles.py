@@ -8,6 +8,7 @@ checked against a second, unrelated route.
 from __future__ import annotations
 
 import itertools
+import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -22,9 +23,9 @@ from pressgame.bwgraph import (
     press,
 )
 from pressgame.errors import CapExceededError, EmptyPathSetError, UnsolvableError
-from pressgame.paths import PathSet, PressingPath, find_safe_press
+from pressgame.paths import PathSet, PressingPath, find_safe_press, is_successful_path
 from pressgame.permrev import SignedPermutation
-from pressgame.sampler import proposal_probability
+from pressgame.sampler import proposal_probability, propose
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +478,25 @@ def exact_transition_matrix(ps: PathSet) -> list[list[Fraction]]:
                 t[i][j] = proposal_probability(paths[i], paths[j], n)
         t[i][i] = one - sum(t[i])
     return t
+
+
+# ---------------------------------------------------------------------------
+# The chain one visit per step, folding every candidate: the loop that
+# run_chain's run lengths and mh_step's repeated-vertex rejection replace.
+
+def chain_visits(g: BWGraph, path, seed: int, steps: int):
+    """(the path after each of steps moves from path, the steps at which a
+    candidate was accepted), reading random.Random(seed) as run_chain does."""
+    bits = random.Random(seed).getrandbits
+    visits, moves = [], []
+    for t in range(steps):
+        if len(path) >= 2:
+            cand = propose(path, g.n, bits)
+            if is_successful_path(g, cand):
+                path = cand
+                moves.append(t)
+        visits.append(path)
+    return visits, moves
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,19 @@ def test_enumeration_matches_naive_search():
         assert list(ps.paths) == expected
         for p in ps.paths:
             assert is_successful_path(g, p)
-            assert len(set(p)) == len(p)
+
+
+def test_successful_paths_never_repeat_a_vertex():
+    # a pressed vertex is left white and isolated, so it is never pressed
+    # again; sampler.mh_step rejects repeated-vertex candidates unfolded
+    instances = paths = 0
+    for g in all_graphs_upto(5):
+        if is_solvable(g):
+            ps = enumerate_successful(g)
+            assert all(len(set(p)) == len(p) for p in ps.paths), g
+            instances += 1
+            paths += len(ps.paths)
+    assert (instances, paths) == (31_742, 282_730)
 
 
 @pytest.mark.slow

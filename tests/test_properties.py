@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pressgame.bwgraph import (
     BWGraph,
+    fold_path,
     format_graph,
     is_solvable,
     parse_graph,
@@ -67,6 +68,22 @@ def test_graph_text_round_trips(g):
     text = format_graph(g)
     assert parse_graph(text) == g
     assert format_graph(parse_graph(text)) == text
+
+
+@FIXED
+@given(graphs(), st.data())
+def test_fold_stops_at_a_repeated_vertex(g, data):
+    # a valid prefix, one of its vertices again, then anything: the fold
+    # reports bad at the second occurrence, as mh_step's filter assumes
+    prefix, h = [], g
+    while h.black_vertices() and data.draw(st.booleans()):
+        v = data.draw(st.sampled_from(h.black_vertices()))
+        prefix.append(v)
+        h = press(h, v)
+    assume(prefix)
+    again = data.draw(st.sampled_from(prefix))
+    rest = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n))
+    assert fold_path(g, [*prefix, again, *rest])[0] == len(prefix)
 
 
 @FIXED

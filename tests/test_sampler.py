@@ -1,14 +1,16 @@
 """Proposal counting, MH stepping, chain runs, and uniformity diagnostics."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from pressgame import sampler
 from pressgame.bwgraph import BWGraph, is_solvable, linear_graph
 from pressgame.errors import EmptyPathSetError, PathTooShortError, UnsolvableError
 from pressgame.meta import build_metagraph
-from pressgame.paths import PathSet, enumerate_successful, is_successful_path
+from pressgame.paths import PathSet, enumerate_successful, greedy_solve, is_successful_path
 from pressgame.sampler import (
     _below,
     mh_step,
@@ -19,23 +21,22 @@ from pressgame.sampler import (
 )
 
 from gen import all_colorings, all_graphs_upto
-from oracles import brute_force_proposal, exact_transition_matrix, union_find_components
+from oracles import (
+    brute_force_proposal,
+    chain_visits,
+    exact_transition_matrix,
+    linear_family,
+    union_find_components,
+)
 
 import random
 
 
 def walk(colors, path, seed, steps):
-    """The path after each of steps mh_step calls from path, and the number
-    of accepted moves, as run_chain keeps them."""
-    g = linear_graph(colors)
-    bits = random.Random(seed).getrandbits
-    visits, accepted = [], 0
-    for _ in range(steps):
-        cand = mh_step(g, path, bits)
-        if cand is not None:
-            path, accepted = cand, accepted + 1
-        visits.append(path)
-    return visits, accepted
+    """The path after each of steps moves from path on linear_graph(colors),
+    and the number of accepted moves."""
+    visits, moves = chain_visits(linear_graph(colors), path, seed, steps)
+    return visits, len(moves)
 
 
 def test_proposal_probability_examples():
@@ -166,6 +167,50 @@ def test_run_chain_frequencies_concentrate():
         total = sum(r.histogram.values())
         for p in ((0, 2, 1), (2, 0, 1)):
             assert abs(r.histogram[p] / total - 0.5) < 0.02
+
+
+def test_run_chain_matches_the_per_step_oracle():
+    # run lengths against one visit per step, and mh_step's repeated-vertex
+    # rejection against folding every candidate; burn_in at the first accept
+    # puts that move at t == burn_in, and steps one past an accept ends the
+    # chain on an accepted move
+    steps = 300
+    runs = accepts_at_burn_in = accepts_last = 0
+    for g in linear_family(6):
+        if not is_solvable(g):
+            continue
+        for seed in range(3):
+            visits, moves = chain_visits(g, greedy_solve(g), seed, steps)
+            cases = [(steps, b) for b in (0, 1, steps // 10, steps - 1, *moves[:1])]
+            if moves:
+                cases += [(moves[-1] + 1, 0), (moves[-1] + 1, moves[-1])]
+            for length, burn_in in cases:
+                r = run_chain(g, length, burn_in=burn_in, seed=seed)
+                want = Counter(visits[burn_in:length])
+                assert list(r.histogram.items()) == list(want.items()), (g, seed)
+                taken = [t for t in moves if t < length]
+                assert r.acceptance_rate == len(taken) / length
+                accepts_at_burn_in += burn_in in taken
+                accepts_last += length - 1 in taken
+                runs += 1
+    assert (runs, accepts_at_burn_in, accepts_last) == (2430, 691, 672)
+
+
+def test_run_chain_calls_mh_step_once_per_step(monkeypatch):
+    # run_chain looks mh_step up once per step, so a rebinding of it, as a
+    # tracer makes, sees every step although visits are counted per run
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mh_step(*args)
+
+    g = linear_graph("BWBB")
+    monkeypatch.setattr(sampler, "mh_step", counted)
+    traced = run_chain(g, steps=500, seed=3)
+    monkeypatch.undo()
+    assert len(calls) == 500
+    assert traced == run_chain(g, steps=500, seed=3)
 
 
 def test_run_chain_rejects_unsolvable():
