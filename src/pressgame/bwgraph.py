@@ -6,9 +6,9 @@ instead of mutating.  The constructor checks symmetry by transposing the
 rows' w x w bit matrix (w = 2^k >= n) in log2(w) big-int steps, not edge by
 edge: 2 ms at 1,000 vertices, 0.04 s at 3,000 and 0.2 s at 8,000 (2-CPU Xeon,
 Python 3.11), the rows packed into one int in linear time.  The press rule
-lives in one place, the in-place row kernel _press_rows, run by press on a
-copy of one graph's rows, by fold_path along a whole path on one copy, and by
-the enumeration count in paths on raw rows with no graph object per state.
+lives in one place, the in-place row kernel _press_rows, run by fold_path
+along a path on one copy of the rows (for apply_path and its one-vertex case
+press) and by the enumeration count in paths on raw rows, no graph per state.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import (
     GraphParseError,
     IndexOutOfRangeError,
     InvalidPathError,
-    PressOnWhiteError,
     SelfLoopError,
 )
 
@@ -146,18 +145,6 @@ def _press_rows(adj: list[int], colors: int, v: int) -> int:
     return (colors ^ nbrs) & keep
 
 
-def press(g: BWGraph, v: int) -> BWGraph:
-    """Press black vertex v of a copy of g: flip neighbor colors, toggle every
-    neighbor pair's connectivity, and leave v as a separated white vertex."""
-    if not 0 <= v < g.n:
-        raise IndexOutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
-    if not g.is_black(v):
-        raise PressOnWhiteError(f"vertex {v} is white")
-    adj = list(g.adj)
-    colors = _press_rows(adj, g.colors, v)
-    return _unchecked(g.n, colors, tuple(adj))
-
-
 def fold_path(g: BWGraph, path: Sequence[int]) -> tuple[int | None, int, list[int]]:
     """Press path left to right on one copy of g's rows: (bad, colors, adj), bad
     being the first out-of-range or white position (the fold stops there) or None."""
@@ -170,13 +157,21 @@ def fold_path(g: BWGraph, path: Sequence[int]) -> tuple[int | None, int, list[in
 
 
 def apply_path(g: BWGraph, path: Sequence[int]) -> BWGraph:
-    """Left fold of press over path; identifies the first invalid position."""
+    """Press path left to right on a copy of g; raises at the first bad position."""
     bad, colors, adj = fold_path(g, path)
     if bad is None:
         return _unchecked(g.n, colors, tuple(adj))
     if not 0 <= path[bad] < g.n:
-        raise IndexOutOfRangeError(f"vertex {path[bad]} outside 0..{g.n - 1}")
+        span = f"0..{g.n - 1}" if g.n else "a graph with no vertices"
+        raise IndexOutOfRangeError(f"vertex {path[bad]} outside {span}")
     raise InvalidPathError(bad, path[bad])
+
+
+def press(g: BWGraph, v: int) -> BWGraph:
+    """Press black vertex v of a copy of g: flip neighbor colors, toggle every
+    neighbor pair's connectivity, and leave v as a separated white vertex.  The
+    one-vertex apply_path, so a white v raises InvalidPathError at position 0."""
+    return apply_path(g, (v,))
 
 
 def _edge_components(g: BWGraph) -> Iterator[int]:

@@ -13,7 +13,7 @@ class PressOnWhiteError(GameError):
     """Attempted to press a white vertex."""
 
 
-class InvalidPathError(GameError):
+class InvalidPathError(PressOnWhiteError):
     """A pressing path hits a non-black vertex; carries the first bad position."""
 
     def __init__(self, position: int, vertex: int):

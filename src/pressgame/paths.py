@@ -2,14 +2,15 @@
 
 Paths are plain tuples of vertex ids.  Enumeration runs in two passes over
 raw press states (colors, adjacency rows).  A memoised count records, for
-each reachable state, its path count, their common length and its live
-moves: the black vertices, ascending, whose press leaves a state with a
-path.  The count stops as soon as one state has more than the cap's
-paths, but a press that leaves an unsolvable state heads a subtree with no
-paths, which the cap cannot stop, so the count may visit all of it.  A
-walk over the live moves then lists the paths in the same lexicographic
-order a depth-first search would, so two runs are byte-identical; the walk
-presses nothing and enters no dead end.
+each reachable state, its path count and its live moves: the black
+vertices, ascending, whose press leaves a state with a path.  The count
+stops as soon as one state has more than the cap's paths, but a press that
+leaves an unsolvable state heads a subtree with no paths, which the cap
+cannot stop, so the count may visit all of it.  A walk over the live moves
+then lists the paths in the same lexicographic order a depth-first search
+would, so two runs are byte-identical; the walk presses nothing and enters
+no dead end.  Every state with a path lies on a walked path, so checking
+that the walked paths share one length checks the equal-length law.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def enumerate_successful(g: BWGraph, cap: int = DEFAULT_CAP) -> PathSet:
     successful path can exist, CapExceededError (never a silent truncation)
     with count_so_far cap + 1 when there are more than cap paths, and
     GameError when the paths are too long (about 1,000 presses) for
-    Python's recursion limit.
+    Python's recursion limit; AssertionError if two paths differ in length.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -79,47 +80,41 @@ def enumerate_successful(g: BWGraph, cap: int = DEFAULT_CAP) -> PathSet:
             prefix.pop()
 
     try:  # both passes recurse once per press
-        count, length, moves = _count(g.colors, g.adj, cap, {})
+        count, moves = _count(g.colors, g.adj, cap, {})
         walk(moves)
     except RecursionError:
         raise GameError("successful paths too long to enumerate") from None
     if not count:
         raise AssertionError("a solvable graph must have a successful path")
-    return PathSet(graph=g, paths=tuple(found), common_length=length)
+    common_length = len(found[0])
+    if set(map(len, found)) != {common_length}:
+        raise AssertionError("equal-length law violated")
+    return PathSet(graph=g, paths=tuple(found), common_length=common_length)
 
 
-def _count(
-    colors: int, adj: tuple[int, ...], cap: int, memo: dict
-) -> tuple[int, int, Moves]:
-    """(path count, common path length, live moves) of the press state
-    (colors, adj), memoised in memo by state; CapExceededError(cap + 1) as
-    soon as the count passes cap.  The live moves are (v, live moves after
-    pressing v) for each black v, ascending, whose press leaves a state with
-    a path.  A state's paths do not depend on the presses that reached it,
-    and by the equal-length law they share one length, so one entry per
-    state is exact."""
+def _count(colors: int, adj: tuple[int, ...], cap: int, memo: dict) -> tuple[int, Moves]:
+    """(path count, live moves) of the press state (colors, adj), memoised in
+    memo by state; CapExceededError(cap + 1) as soon as the count passes cap.
+    The live moves are (v, live moves after pressing v) for each black v,
+    ascending, whose press leaves a state with a path.  A state's paths do
+    not depend on the presses that reached it, so one entry per state is
+    exact; the all-white empty state counts its one empty path."""
     key = (colors, adj)
     entry = memo.get(key)
     if entry is not None:
         return entry
-    if not colors:
-        entry = memo[key] = (0 if any(adj) else 1, 0, ())
-        return entry
-    total = length = 0
+    total = 0 if colors or any(adj) else 1
     live = []
     for v in _bits(colors):
         rows = list(adj)
         child = _press_rows(rows, colors, v)
-        k, child_length, child_moves = _count(child, tuple(rows), cap, memo)
+        k, child_moves = _count(child, tuple(rows), cap, memo)
         if k:
-            if live and child_length + 1 != length:
-                raise AssertionError("equal-length law violated")
             total += k
             if total > cap:
                 raise CapExceededError(cap + 1)
-            length = child_length + 1
             live.append((v, child_moves))
-    entry = memo[key] = (total, length, tuple(live))
+    entry = memo[key] = (total, tuple(live))
     return entry
 
 

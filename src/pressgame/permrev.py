@@ -33,7 +33,7 @@ class SignedPermutation:
     elems: tuple[int, ...]
 
     def __post_init__(self):
-        ints = all(isinstance(x, int) for x in self.elems)  # 1.0 == 1 passes sorted()
+        ints = all(type(x) is int for x in self.elems)  # 1.0 and True == 1 pass sorted()
         if not ints or sorted(map(abs, self.elems)) != list(range(1, self.n + 1)):
             raise NotAPermutationError(
                 f"magnitudes of {self.elems} are not a permutation of 1..{self.n}"

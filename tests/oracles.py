@@ -16,13 +16,21 @@ from fractions import Fraction
 
 from pressgame.bwgraph import (
     BWGraph,
+    _press_rows,
+    _unchecked,
     fold_path,
     is_all_white_empty,
     is_solvable,
     linear_graph,
     press,
 )
-from pressgame.errors import CapExceededError, EmptyPathSetError, UnsolvableError
+from pressgame.errors import (
+    CapExceededError,
+    EmptyPathSetError,
+    IndexOutOfRangeError,
+    PressOnWhiteError,
+    UnsolvableError,
+)
 from pressgame.paths import PathSet, PressingPath, find_safe_press, is_successful_path
 from pressgame.permrev import SignedPermutation
 from pressgame.sampler import proposal_probability, propose
@@ -179,6 +187,21 @@ def _set_bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+# ---------------------------------------------------------------------------
+# press with its own range and colour guards (the package's press is the
+# one-vertex apply_path).
+
+def guarded_press(g: BWGraph, v: int) -> BWGraph:
+    """Press black vertex v of a copy of g, checking range and colour first."""
+    if not 0 <= v < g.n:
+        raise IndexOutOfRangeError(f"vertex {v} outside 0..{g.n - 1}")
+    if not g.is_black(v):
+        raise PressOnWhiteError(f"vertex {v} is white")
+    adj = list(g.adj)
+    colors = _press_rows(adj, g.colors, v)
+    return _unchecked(g.n, colors, tuple(adj))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from pressgame.bwgraph import (
 )
 from pressgame.errors import (
     DuplicateEdgeError,
+    GameError,
     GraphParseError,
     IndexOutOfRangeError,
     InvalidPathError,
@@ -37,6 +38,7 @@ from pressgame.permrev import SignedPermutation, build_dr, build_overlap
 from gen import all_graphs, all_graphs_upto, random_signed_permutation
 from oracles import (
     cellwise_transpose_masks,
+    guarded_press,
     naive_graph,
     naive_press,
     rowwise_graph_check,
@@ -81,6 +83,33 @@ def test_press_errors():
         press(g, 0)
     with pytest.raises(IndexOutOfRangeError):
         press(g, 3)
+
+
+def test_press_matches_the_guarded_press_it_replaced():
+    # every labeled graph with n <= 4, every colouring, every v in -1..n: the
+    # same graph or the same error class; a white press is now the one-vertex
+    # path's InvalidPathError at position 0, still a PressOnWhiteError
+    checked = 0
+    for g in itertools.chain(all_graphs(0), all_graphs_upto(4)):
+        for v in range(-1, g.n + 1):
+            checked += 1
+            try:
+                want = guarded_press(g, v)
+            except GameError as exc:
+                with pytest.raises(type(exc)) as got:
+                    press(g, v)
+                if type(exc) is IndexOutOfRangeError:
+                    assert type(got.value) is IndexOutOfRangeError
+                    # the oracle still reads 0..-1 on the empty graph
+                    msg = str(exc) if g.n else f"vertex {v} outside a graph with no vertices"
+                    assert str(got.value) == msg
+                else:
+                    assert type(exc) is PressOnWhiteError
+                    assert type(got.value) is InvalidPathError
+                    assert (got.value.position, got.value.vertex) == (0, v)
+                continue
+            assert press(g, v) == want
+    assert checked == 2 + 6 + 32 + 320 + 6_144
 
 
 def test_press_is_value_semantic():

@@ -50,6 +50,17 @@ def test_press_two_vertices_solves(capsys):
     assert out == "3\nWWW\n"
 
 
+def test_press_errors_name_the_vertex(capsys):
+    # press runs through apply_path: one message per bad vertex, exit 2, no stdout
+    for argv, err in [
+        (("linear:WBW", "0"), "vertex 0 is not black at path position 0"),
+        (("linear:WBW", "1", "1"), "vertex 1 is not black at path position 1"),
+        (("linear:WBW", "3"), "vertex 3 outside 0..2"),
+        (("linear:", "0"), "vertex 0 outside a graph with no vertices"),
+    ]:
+        assert run(capsys, "press", *argv) == (2, "", f"error: {err}\n"), argv
+
+
 def test_distance_example(capsys):
     code, out, _ = run(capsys, "distance", "+4 -1 -6 +3 +2 +5")
     assert (code, out) == (0, "6\n")

@@ -220,6 +220,19 @@ def test_enumeration_matches_dfs_oracle(monkeypatch):
     assert new.value.count_so_far == old.value.count_so_far == 11
 
 
+def test_enumeration_checks_its_paths_after_the_walk(monkeypatch):
+    # the count keeps no lengths: the walked paths are checked for one common
+    # length, and a solvable graph whose count is zero is a fault too
+    g = linear_graph("BB")
+    uneven = ((0, ()), (1, ((0, ()),)))  # walks to the paths (0,) and (1, 0)
+    monkeypatch.setattr("pressgame.paths._count", lambda *args: (2, uneven))
+    with pytest.raises(AssertionError, match="^equal-length law violated$"):
+        enumerate_successful(g)
+    monkeypatch.setattr("pressgame.paths._count", lambda *args: (0, ()))
+    with pytest.raises(AssertionError, match="^a solvable graph must have a successful path$"):
+        enumerate_successful(g)
+
+
 def test_enumeration_comes_out_in_strict_lexicographic_order():
     # the walk's order is returned as is, with no sort; on linear graphs
     # past the naive search's reach it must still be strictly ascending

@@ -63,8 +63,9 @@ def test_parse_examples():
         perm("+a")
     with pytest.raises(NotAPermutationError):
         perm("+1 +3")
-    # 1.0 == 1, so a magnitude check alone lets floats through to build_overlap
-    for elems in [(1.0,), (2.0, -1.0)]:
+    # 1.0 == True == 1, so a magnitude check alone lets floats and bools
+    # through to build_overlap
+    for elems in [(1.0,), (2.0, -1.0), (True,), (True, -2)]:
         with pytest.raises(NotAPermutationError):
             SignedPermutation(elems)
 
