@@ -84,7 +84,7 @@ class BWGraph:
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise IndexOutOfRangeError(f"edge ({u},{v}) outside 0..{n - 1}")
+                raise IndexOutOfRangeError(f"edge ({u},{v}) outside {_span(n)}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
@@ -156,14 +156,18 @@ def fold_path(g: BWGraph, path: Sequence[int]) -> tuple[int | None, int, list[in
     return None, colors, adj
 
 
+def _span(n: int) -> str:
+    """The vertex range of an n-vertex graph, as out-of-range messages name it."""
+    return f"0..{n - 1}" if n else "a graph with no vertices"
+
+
 def apply_path(g: BWGraph, path: Sequence[int]) -> BWGraph:
     """Press path left to right on a copy of g; raises at the first bad position."""
     bad, colors, adj = fold_path(g, path)
     if bad is None:
         return _unchecked(g.n, colors, tuple(adj))
     if not 0 <= path[bad] < g.n:
-        span = f"0..{g.n - 1}" if g.n else "a graph with no vertices"
-        raise IndexOutOfRangeError(f"vertex {path[bad]} outside {span}")
+        raise IndexOutOfRangeError(f"vertex {path[bad]} outside {_span(g.n)}")
     raise InvalidPathError(bad, path[bad])
 
 

@@ -12,8 +12,9 @@ connected, and otherwise never leave the start path's component.
 proposal_probability gives q exactly, for the detailed-balance tests.
 
 Shortcuts that keep every trajectory: mh_step rejects a candidate that
-repeats a vertex unfolded, as a pressed vertex is left white and isolated;
-run_chain adds each run on one path to the histogram when the run ends.
+repeats a vertex from its six draws, before the splice builds it, as a
+pressed vertex is left white and isolated; run_chain adds each run on one
+path to the histogram when the run ends.
 
 Length-0 and length-1 paths admit no remove-2/add-2 move; those chains
 are single-state by construction and run_chain reports them as such.
@@ -79,10 +80,10 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def propose(path: PressingPath, n: int, bits) -> PressingPath:
-    """Draw a candidate by one remove-2/add-2 move on path over n vertices,
-    reading random words from bits (a getrandbits)."""
-    L = len(path)
+def _draw(L: int, n: int, bits) -> tuple[int, int, int, int, int, int]:
+    """The six draws of one remove-2/add-2 move on a length-L path over n
+    vertices, in reading order: the positions i != j to delete, then the
+    first (slot, label) and the second (slot, label)."""
     if L < 2:
         raise PathTooShortError(f"need at least 2 presses, path has {L}")
     if n < 1:
@@ -91,12 +92,23 @@ def propose(path: PressingPath, n: int, bits) -> PressingPath:
     j = _below(bits, L - 1)
     if j >= i:
         j += 1
+    return i, j, _below(bits, L - 1), _below(bits, n), _below(bits, L), _below(bits, n)
+
+
+def _splice(
+    path: PressingPath, i: int, j: int, slot1: int, a: int, slot2: int, b: int
+) -> PressingPath:
+    """path without positions i and j, then a inserted at slot1, then b at slot2."""
     lo, hi = (i, j) if i < j else (j, i)
     r = path[:lo] + path[lo + 1:hi] + path[hi + 1:]
-    slot = _below(bits, L - 1)
-    r = r[:slot] + (_below(bits, n),) + r[slot:]
-    slot = _below(bits, L)
-    return r[:slot] + (_below(bits, n),) + r[slot:]
+    r = r[:slot1] + (a,) + r[slot1:]
+    return r[:slot2] + (b,) + r[slot2:]
+
+
+def propose(path: PressingPath, n: int, bits) -> PressingPath:
+    """Draw a candidate by one remove-2/add-2 move on path over n vertices,
+    reading random words from bits (a getrandbits)."""
+    return _splice(path, *_draw(len(path), n, bits))
 
 
 def mh_step(g: BWGraph, path: PressingPath, bits) -> PressingPath | None:
@@ -104,13 +116,17 @@ def mh_step(g: BWGraph, path: PressingPath, bits) -> PressingPath | None:
     None when the chain stays put.
 
     The proposal is symmetric, so the Hastings ratio is 1: accept exactly
-    when the candidate is a successful path.
+    when the candidate is a successful path.  A drawn label equal to the
+    other or to a kept press repeats a vertex: rejected before the splice.
     """
     if len(path) < 2:
         return None
-    cand = propose(path, g.n, bits)
-    ok = len(set(cand)) == len(cand) and is_successful_path(g, cand)
-    return cand if ok else None
+    i, j, slot1, a, slot2, b = _draw(len(path), g.n, bits)
+    gone = (path[i], path[j])
+    if a == b or (a in path and a not in gone) or (b in path and b not in gone):
+        return None
+    cand = _splice(path, i, j, slot1, a, slot2, b)
+    return cand if is_successful_path(g, cand) else None
 
 
 def run_chain(

@@ -504,8 +504,9 @@ def exact_transition_matrix(ps: PathSet) -> list[list[Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# The chain one visit per step, folding every candidate: the loop that
-# run_chain's run lengths and mh_step's repeated-vertex rejection replace.
+# The chain one visit per step, building and folding every candidate: the
+# loop that run_chain's run lengths and mh_step's rejection of a repeated
+# vertex from the six draws, before the splice, replace.
 
 def chain_visits(g: BWGraph, path, seed: int, steps: int):
     """(the path after each of steps moves from path, the steps at which a

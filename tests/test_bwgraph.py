@@ -313,6 +313,9 @@ def test_from_parts_errors():
         BWGraph.from_parts("BB", [(0, 2)])
     with pytest.raises(IndexOutOfRangeError, match=r"^edge \(-1,0\) outside 0\.\.1$"):
         BWGraph.from_parts("BB", [(-1, 0)])
+    with pytest.raises(IndexOutOfRangeError,
+                       match=r"^edge \(0,1\) outside a graph with no vertices$"):
+        BWGraph.from_parts("", [(0, 1)])
     with pytest.raises(ValueError, match="^self-loop at vertex 1$"):
         BWGraph.from_parts("BW", [(1, 1)])
     with pytest.raises(ValueError, match="^bad color 'X' at index 1$"):

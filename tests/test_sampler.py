@@ -135,6 +135,59 @@ def test_degenerate_chain_stays_put():
     assert walk("B", (0,), seed=0, steps=1) == ([(0,)], 0)
 
 
+def scripted(words):
+    """A getrandbits that hands out words, popped from the list in order;
+    each must be below 2**k for the k it is read with."""
+    def bits(k):
+        word = words.pop(0)
+        assert word < 1 << k
+        return word
+    return bits
+
+
+def test_mh_step_rejects_from_the_draws_as_the_fold_would(monkeypatch):
+    # every draw (i, j, slot1, a, slot2, b) on every successful path of each
+    # solvable linear graph with n <= 4, as words below their bounds so _below
+    # never redraws: mh_step gives what propose and the fold give on the same
+    # words, and reaches the fold exactly for candidates without a repeat
+    folded = []
+
+    def fold(g, cand):
+        folded.append(cand)
+        return is_successful_path(g, cand)
+
+    monkeypatch.setattr(sampler, "is_successful_path", fold)
+    cases = reached = accepted = 0
+    for g in linear_family(4):
+        if not is_solvable(g):
+            continue
+        n = g.n
+        for path in enumerate_successful(g).paths:
+            L = len(path)
+            if L < 2:
+                continue
+            bounds = (L, L - 1, L - 1, n, L, n)  # j is read as a word below L - 1
+            for words in product(*map(range, bounds)):
+                cand = propose(path, n, scripted(list(words)))
+                ok = is_successful_path(g, cand)
+                script, folded[:] = list(words), []
+                got = mh_step(g, path, scripted(script))
+                assert got == (cand if ok else None), (g, path, words)
+                assert script == []
+                assert folded == ([cand] if len(set(cand)) == L else []), (g, path, words)
+                cases += 1
+                reached += len(folded)
+                accepted += ok
+    assert (cases, reached, accepted) == (71312, 12688, 2728)
+
+
+def test_mh_step_keeps_the_empty_graph_guard():
+    # getrandbits(0) is always 0, so without the guard _below(bits, 0) would
+    # redraw forever; the finite script makes that an IndexError here instead
+    with pytest.raises(ValueError, match="^cannot draw vertices of an empty graph$"):
+        mh_step(BWGraph(0, 0, ()), (0, 0), scripted([0] * 6))
+
+
 def test_run_chain_support_and_tv():
     g = linear_graph("WBW")
     r = run_chain(g, steps=10_000, seed=0)
