@@ -3,8 +3,8 @@
 Eight subcommands, one per capability: press, overlap, distance,
 enumerate, metagraph, verify-linear, verify-general, sample.  Exit codes:
 0 success or property verified, 1 property violated or counterexample
-found, 2 input or usage error (including sweeps left incomplete by the
-enumeration cap, which verify nothing either way).
+found, 2 input or usage error, a --report file that cannot be written, or
+a sweep left incomplete by the enumeration cap (which verifies nothing).
 
 Reports are built only under --report, as JSON with sorted keys so that
 reruns of a deterministic command diff cleanly; wall_time is the one field
@@ -295,18 +295,17 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code, payload, source = args.handler(args)
+        if args.report:
+            write_report({
+                "command": list(argv),
+                "input": source,
+                "payload": payload(),
+                "version": __version__,
+                "wall_time": time.perf_counter() - start,
+            }, args.report)
     except (GameError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.report:
-        report = {
-            "command": list(argv),
-            "input": source,
-            "payload": payload(),
-            "version": __version__,
-            "wall_time": time.perf_counter() - start,
-        }
-        write_report(report, args.report)
     return code
 
 

@@ -25,8 +25,8 @@ from functools import cache
 from itertools import combinations
 from operator import itemgetter
 
-from .bwgraph import BWGraph, is_solvable
-from .errors import CapExceededError, EmptyPathSetError
+from .bwgraph import BWGraph
+from .errors import CapExceededError, EmptyPathSetError, UnsolvableError
 from .paths import DEFAULT_CAP, PathSet, PressingPath, enumerate_successful, format_path
 
 
@@ -83,9 +83,14 @@ def connectivity(ps: PathSet, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]
         return x
 
     left = size
-    at_k = tuple((i,) for i in range(size)) if k == 0 else (tuple(range(size)),)
+    at_k = (tuple(range(size)),)
     d = 0
     while left > 1:
+        if d == k:
+            groups: dict[int, list[int]] = {}
+            for x in range(size):
+                groups.setdefault(find(x), []).append(x)
+            at_k = tuple(tuple(g) for g in sorted(groups.values()))
         d += 1
         first: dict = {}
         for kept in _kept_positions(ps.common_length, d):
@@ -96,11 +101,6 @@ def connectivity(ps: PathSet, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]
                     left -= 1
             if left == 1:
                 break
-        if d == k:
-            groups: dict[int, list[int]] = {}
-            for x in range(size):
-                groups.setdefault(find(x), []).append(x)
-            at_k = tuple(tuple(g) for g in sorted(groups.values()))
     return d, at_k
 
 
@@ -174,10 +174,10 @@ def _sweep(label: str, topologies, n_max: int, threshold: int, cap: int) -> Swee
             adj = BWGraph.from_parts("W" * n, edges).adj
             for colors in range(1 << n):
                 g = BWGraph(n, colors, adj)
-                if not is_solvable(g):
-                    continue
                 try:
                     row, ps, components = verify_instance(g, threshold, cap)
+                except UnsolvableError:
+                    continue
                 except CapExceededError as exc:
                     incomplete.append((g, exc.count_so_far))
                     continue

@@ -11,10 +11,11 @@ visits converge to uniform over the path set only when that metagraph is
 connected, and otherwise never leave the start path's component.
 proposal_probability gives q exactly, for the detailed-balance tests.
 
-Shortcuts that keep every trajectory: mh_step rejects a candidate that
-repeats a vertex from its six draws, before the splice builds it, as a
-pressed vertex is left white and isolated; run_chain adds each run on one
-path to the histogram when the run ends.
+Shortcuts that keep every trajectory (propose and chain_visits in
+tests/oracles.py are the move and the chain without them): mh_step rejects
+a candidate that repeats a vertex from its six draws, before the splice
+builds it, as a pressed vertex is left white and isolated; run_chain adds
+each run on one path to the histogram when the run ends.
 
 Length-0 and length-1 paths admit no remove-2/add-2 move; those chains
 are single-state by construction and run_chain reports them as such.
@@ -80,52 +81,32 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def _draw(L: int, n: int, bits) -> tuple[int, int, int, int, int, int]:
-    """The six draws of one remove-2/add-2 move on a length-L path over n
-    vertices, in reading order: the positions i != j to delete, then the
-    first (slot, label) and the second (slot, label)."""
-    if L < 2:
-        raise PathTooShortError(f"need at least 2 presses, path has {L}")
-    if n < 1:
-        raise ValueError("cannot draw vertices of an empty graph")
-    i = _below(bits, L)
-    j = _below(bits, L - 1)
-    if j >= i:
-        j += 1
-    return i, j, _below(bits, L - 1), _below(bits, n), _below(bits, L), _below(bits, n)
-
-
-def _splice(
-    path: PressingPath, i: int, j: int, slot1: int, a: int, slot2: int, b: int
-) -> PressingPath:
-    """path without positions i and j, then a inserted at slot1, then b at slot2."""
-    lo, hi = (i, j) if i < j else (j, i)
-    r = path[:lo] + path[lo + 1:hi] + path[hi + 1:]
-    r = r[:slot1] + (a,) + r[slot1:]
-    return r[:slot2] + (b,) + r[slot2:]
-
-
-def propose(path: PressingPath, n: int, bits) -> PressingPath:
-    """Draw a candidate by one remove-2/add-2 move on path over n vertices,
-    reading random words from bits (a getrandbits)."""
-    return _splice(path, *_draw(len(path), n, bits))
-
-
 def mh_step(g: BWGraph, path: PressingPath, bits) -> PressingPath | None:
     """One Metropolis-Hastings step from path: the accepted candidate, or
     None when the chain stays put.
 
-    The proposal is symmetric, so the Hastings ratio is 1: accept exactly
-    when the candidate is a successful path.  A drawn label equal to the
-    other or to a kept press repeats a vertex: rejected before the splice.
+    Reads six draws from bits (a getrandbits) in the order a seed's trajectory
+    depends on: positions i != j to delete, then the first and the second
+    (slot, label).  The Hastings ratio is 1: accept exactly when the candidate
+    is a successful path.  A label equal to the other or to a kept press
+    repeats a vertex: rejected before the splice.
     """
-    if len(path) < 2:
+    L, n = len(path), g.n
+    if L < 2:
         return None
-    i, j, slot1, a, slot2, b = _draw(len(path), g.n, bits)
+    if n < 1:
+        raise ValueError("cannot draw vertices of an empty graph")
+    i, j = _below(bits, L), _below(bits, L - 1)
+    if j >= i:
+        j += 1
+    slot1, a, slot2, b = _below(bits, L - 1), _below(bits, n), _below(bits, L), _below(bits, n)
     gone = (path[i], path[j])
     if a == b or (a in path and a not in gone) or (b in path and b not in gone):
         return None
-    cand = _splice(path, i, j, slot1, a, slot2, b)
+    lo, hi = (i, j) if i < j else (j, i)
+    r = path[:lo] + path[lo + 1:hi] + path[hi + 1:]
+    r = r[:slot1] + (a,) + r[slot1:]
+    cand = r[:slot2] + (b,) + r[slot2:]
     return cand if is_successful_path(g, cand) else None
 
 

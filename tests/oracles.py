@@ -28,12 +28,13 @@ from pressgame.errors import (
     CapExceededError,
     EmptyPathSetError,
     IndexOutOfRangeError,
+    PathTooShortError,
     PressOnWhiteError,
     UnsolvableError,
 )
 from pressgame.paths import PathSet, PressingPath, find_safe_press, is_successful_path
 from pressgame.permrev import SignedPermutation
-from pressgame.sampler import proposal_probability, propose
+from pressgame.sampler import _below, proposal_probability
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +505,35 @@ def exact_transition_matrix(ps: PathSet) -> list[list[Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# The chain one visit per step, building and folding every candidate: the
-# loop that run_chain's run lengths and mh_step's rejection of a repeated
-# vertex from the six draws, before the splice, replace.
+# The chain one visit per step, drawing, building and folding every
+# candidate: the move and the loop that mh_step's rejection of a repeated
+# vertex from the six draws, before the splice, and run_chain's run lengths
+# replace.
+
+def propose(path: PressingPath, n: int, bits) -> PressingPath:
+    """Draw a candidate by one remove-2/add-2 move on path over n vertices,
+    reading random words from bits (a getrandbits): the positions i != j to
+    delete, then the first (slot, label) and the second (slot, label); the
+    candidate is path without positions i and j, then a inserted at slot1,
+    then b at slot2."""
+    L = len(path)
+    if L < 2:
+        raise PathTooShortError(f"need at least 2 presses, path has {L}")
+    if n < 1:
+        raise ValueError("cannot draw vertices of an empty graph")
+    i = _below(bits, L)
+    j = _below(bits, L - 1)
+    if j >= i:
+        j += 1
+    slot1 = _below(bits, L - 1)
+    a = _below(bits, n)
+    slot2 = _below(bits, L)
+    b = _below(bits, n)
+    kept = [v for k, v in enumerate(path) if k != i and k != j]
+    kept.insert(slot1, a)
+    kept.insert(slot2, b)
+    return tuple(kept)
+
 
 def chain_visits(g: BWGraph, path, seed: int, steps: int):
     """(the path after each of steps moves from path, the steps at which a

@@ -290,6 +290,15 @@ def test_sweep_report_verdict_field(capsys, tmp_path):
     assert all(row["min_threshold"] <= 2 for row in doc["payload"]["stats"])
 
 
+def test_unwritable_report_is_input_error(capsys, tmp_path):
+    # the command's own output comes first; exit 1 would read as a counterexample
+    _, plain, _ = run(capsys, "enumerate", "linear:WBW")
+    for target in (tmp_path / "missing" / "r.json", tmp_path):
+        code, out, err = run(capsys, "enumerate", "linear:WBW", "--report", str(target))
+        assert (code, out) == (2, plain), target
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize(
     "argv, code, instances, digest",
     [

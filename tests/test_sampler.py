@@ -15,7 +15,6 @@ from pressgame.sampler import (
     _below,
     mh_step,
     proposal_probability,
-    propose,
     run_chain,
     tv_distance,
 )
@@ -26,6 +25,7 @@ from oracles import (
     chain_visits,
     exact_transition_matrix,
     linear_family,
+    propose,
     union_find_components,
 )
 
