@@ -8,6 +8,11 @@ whole graph families: all linear graphs up to n_max at threshold 2, and all
 labeled graphs up to n_max at threshold 4.  Instances come by n, then
 edge list (labeled graphs: ascending edge mask over combinations(range(n),
 2)), then colour mask ascending, bit v set meaning vertex v is black.
+Within each n a sweep verifies one instance per coloured isomorphism class
+and gives the other members its result.  That is exact: a relabelling maps
+the successful paths one to one and keeps every LCS, so path count,
+min_threshold, solvability and the cap verdict are class invariants.  Class
+keys come from the S_n orbits of edge masks, or from the path's reversal.
 
 Edges are decided without comparing pairs.  Two paths of common length L
 have an LCS of at least L - k exactly when they share a subsequence of
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import itemgetter
 
 from .bwgraph import BWGraph
@@ -163,27 +168,39 @@ def verify_instance(
 def _sweep(label: str, topologies, n_max: int, threshold: int, cap: int) -> SweepReport:
     """Gate every solvable graph on 1..n_max vertices whose edge list is in
     topologies(n): by n, then edge list in order, then colour mask ascending
-    (bit v set means vertex v is black).  verify_instance rejects k < 0."""
+    (bit v set means vertex v is black).  verify_instance rejects k < 0.
+    topologies(n) yields (edges, classes), classes[c] the key of colour mask
+    c, shared only by isomorphic coloured graphs.  Each class is verified
+    once per n (exact, see the module docstring), and a failing member again,
+    so that its witness is in its own labels."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     stats: list[InstanceStats] = []
     failures: list[SweepFailure] = []
     incomplete: list[tuple[BWGraph, int]] = []
     for n in range(1, n_max + 1):
-        for edges in topologies(n):
+        seen: dict = {}  # class key -> its row, its cap count, or False (unsolvable)
+        for edges, classes in topologies(n):
             adj = BWGraph.from_parts("W" * n, edges).adj
-            for colors in range(1 << n):
+            for colors, key in enumerate(classes):
                 g = BWGraph(n, colors, adj)
-                try:
-                    row, ps, components = verify_instance(g, threshold, cap)
-                except UnsolvableError:
-                    continue
-                except CapExceededError as exc:
-                    incomplete.append((g, exc.count_so_far))
-                    continue
-                stats.append(row)
-                if row.min_threshold > threshold:
-                    failures.append(SweepFailure(ps, components))
+                hit = seen.get(key)
+                if hit is None or isinstance(hit, InstanceStats) and hit.min_threshold > threshold:
+                    try:
+                        hit, ps, components = verify_instance(g, threshold, cap)
+                    except UnsolvableError:
+                        hit = False
+                    except CapExceededError as exc:
+                        hit = exc.count_so_far
+                    seen[key] = hit
+                elif isinstance(hit, InstanceStats):
+                    hit = InstanceStats(g, hit.path_count, hit.min_threshold)
+                if isinstance(hit, InstanceStats):
+                    stats.append(hit)
+                    if hit.min_threshold > threshold:  # verified just now
+                        failures.append(SweepFailure(ps, components))
+                elif hit:
+                    incomplete.append((g, hit))
     return SweepReport(
         family=f"{label}, n <= {n_max}",
         threshold=threshold,
@@ -194,18 +211,47 @@ def _sweep(label: str, topologies, n_max: int, threshold: int, cap: int) -> Swee
 
 
 def _edge_sets(n: int):
-    """Every edge set on vertices 0..n-1, in ascending edge-mask order."""
+    """Every edge set on vertices 0..n-1, in ascending edge-mask order, with
+    the class keys of its colour masks.  An S_n orbit of edge masks has its
+    least mask R as representative; an image U = p(R) keeps the colour map of
+    p's inverse, which pulls a colouring of U back onto R, and the key of
+    (U, c) is R with the least image of that pullback under R's automorphisms."""
     pairs = list(combinations(range(n), 2))
+    bit = {pair: b for b, pair in enumerate(pairs)}
+    perms = list(permutations(range(n)))
+    edge_maps = [[bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs] for p in perms]
+    color_maps = [[sum(1 << u for u in range(n) if c >> p[u] & 1) for c in range(1 << n)]
+                  for p in perms]
+    orbit: dict[int, tuple[int, list[int]]] = {}  # mask -> (R, colour map onto R)
+    canon: dict[int, list[int]] = {}  # R -> least automorphic image of each colour mask
+    for rep in range(1 << len(pairs)):
+        if rep in orbit:
+            continue
+        autos = []
+        for edge_map, color_map in zip(edge_maps, color_maps):
+            image = sum(1 << edge_map[b] for b in range(len(pairs)) if rep >> b & 1)
+            if image == rep:
+                autos.append(color_map)
+            orbit.setdefault(image, (rep, color_map))
+        canon[rep] = [min(a[c] for a in autos) for c in range(1 << n)]
     for mask in range(1 << len(pairs)):
-        yield [p for b, p in enumerate(pairs) if mask >> b & 1]
+        rep, color_map = orbit[mask]
+        edges = [pair for b, pair in enumerate(pairs) if mask >> b & 1]
+        yield edges, [(rep, canon[rep][color_map[c]]) for c in range(1 << n)]
+
+
+def _path(n: int):
+    """The path 0-1-...-(n-1), with the class key min(c, c reversed) of each
+    colour mask c: the reversal is the path's one nontrivial automorphism."""
+    flips = [int(f"{c:0{n}b}"[::-1], 2) for c in range(1 << n)]
+    yield [(i, i + 1) for i in range(n - 1)], [min(c, r) for c, r in enumerate(flips)]
 
 
 def verify_linear_family(
     n_max: int, threshold: int = 2, cap: int = DEFAULT_CAP
 ) -> SweepReport:
     """Connectivity of every solvable linear graph's metagraph up to n_max."""
-    path = [(i, i + 1) for i in range(n_max - 1)]
-    return _sweep("linear graphs", lambda n: [path[: n - 1]], n_max, threshold, cap)
+    return _sweep("linear graphs", _path, n_max, threshold, cap)
 
 
 def verify_general_family(

@@ -68,22 +68,26 @@ def enumerate_successful(g: BWGraph, cap: int = DEFAULT_CAP) -> PathSet:
         raise ValueError("cap must be at least 1")
     if not is_solvable(g):
         raise UnsolvableError("graph has a non-trivial unoriented component")
-    found: list[PressingPath] = []
-    prefix: list[int] = []
-
-    def walk(moves: Moves) -> None:
-        if not moves:
-            found.append(tuple(prefix))
-        for v, child_moves in moves:
-            prefix.append(v)
-            walk(child_moves)
-            prefix.pop()
-
-    try:  # both passes recurse once per press
+    try:  # the count recurses once per press
         count, moves = _count(g.colors, g.adj, cap, {})
-        walk(moves)
     except RecursionError:
         raise GameError("successful paths too long to enumerate") from None
+    # depth first, one live-moves iterator per level; a move with none ends a path
+    found: list[PressingPath] = [] if moves else [()]
+    prefix: list[int] = []
+    stack = [iter(moves)]
+    while stack:
+        for v, child_moves in stack[-1]:
+            prefix.append(v)
+            if child_moves:
+                stack.append(iter(child_moves))
+                break
+            found.append(tuple(prefix))
+            prefix.pop()
+        else:
+            stack.pop()
+            if prefix:  # the move into the level just left
+                prefix.pop()
     if not count:
         raise AssertionError("a solvable graph must have a successful path")
     common_length = len(found[0])

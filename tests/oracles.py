@@ -32,6 +32,7 @@ from pressgame.errors import (
     PressOnWhiteError,
     UnsolvableError,
 )
+from pressgame.meta import SweepFailure, SweepReport, verify_instance
 from pressgame.paths import PathSet, PressingPath, find_safe_press, is_successful_path
 from pressgame.permrev import SignedPermutation
 from pressgame.sampler import _below, proposal_probability
@@ -150,13 +151,78 @@ def linear_family(n_max: int):
             yield linear_graph(colors)
 
 
+def labeled_edge_lists(n: int):
+    # ascending edge mask over combinations(range(n), 2)
+    pairs = list(itertools.combinations(range(n), 2))
+    for edge_mask in range(1 << len(pairs)):
+        yield [pairs[b] for b in range(len(pairs)) if edge_mask >> b & 1]
+
+
+def linear_edge_lists(n: int):
+    yield [(i, i + 1) for i in range(n - 1)]
+
+
 def labeled_family(n_max: int):
     for n in range(1, n_max + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for edge_mask in range(1 << len(pairs)):
-            edges = [pairs[b] for b in range(len(pairs)) if edge_mask >> b & 1]
+        for edges in labeled_edge_lists(n):
             for colors in color_strings(n):
                 yield BWGraph.from_parts(colors, edges)
+
+
+# ---------------------------------------------------------------------------
+# The sweep one instance at a time (the package verifies each coloured
+# isomorphism class once per n), and brute-force canonical forms.
+
+def instance_sweep(label, edge_lists, n_max, threshold, cap):
+    """The sweep report by verify_instance on every instance with 1..n_max
+    vertices whose edge list is in edge_lists(n), in sweep order."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    stats, failures, incomplete = [], [], []
+    for n in range(1, n_max + 1):
+        for edges in edge_lists(n):
+            adj = BWGraph.from_parts("W" * n, edges).adj
+            for colors in range(1 << n):
+                g = BWGraph(n, colors, adj)
+                try:
+                    row, ps, components = verify_instance(g, threshold, cap)
+                except UnsolvableError:
+                    continue
+                except CapExceededError as exc:
+                    incomplete.append((g, exc.count_so_far))
+                    continue
+                stats.append(row)
+                if row.min_threshold > threshold:
+                    failures.append(SweepFailure(ps, components))
+    return SweepReport(
+        family=f"{label}, n <= {n_max}",
+        threshold=threshold,
+        stats=tuple(stats),
+        failures=tuple(failures),
+        incomplete=tuple(incomplete),
+    )
+
+
+def canonical_form(g: BWGraph):
+    """The least (colour mask, adjacency rows) over every relabelling of g.
+
+    The colour mask compares first, and its least value puts the b black
+    vertices on labels 0..b-1, so only the b! (n - b)! relabellings that do
+    so can reach the minimum; the others are not tried.
+    """
+    blacks = [v for v in range(g.n) if g.is_black(v)]
+    whites = [v for v in range(g.n) if not g.is_black(v)]
+    nbrs = [list(_set_bits(row)) for row in g.adj]
+    best = None
+    for head, tail in itertools.product(
+        itertools.permutations(blacks), itertools.permutations(whites)
+    ):
+        order = head + tail  # order[new label] = old label
+        label = {old: new for new, old in enumerate(order)}
+        rows = tuple(sum(1 << label[u] for u in nbrs[old]) for old in order)
+        if best is None or rows < best:
+            best = rows
+    return (1 << len(blacks)) - 1, best
 
 
 # ---------------------------------------------------------------------------

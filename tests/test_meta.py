@@ -13,13 +13,18 @@ from pressgame.meta import (
     verify_instance,
     verify_linear_family,
 )
-from pressgame.paths import PathSet, enumerate_successful
+from pressgame.paths import DEFAULT_CAP, PathSet, enumerate_successful
 
 from gen import all_graphs_upto
 from oracles import (
     bucket_gate,
+    canonical_form,
+    color_strings,
+    instance_sweep,
+    labeled_edge_lists,
     labeled_family,
     lcs_distinct,
+    linear_edge_lists,
     linear_family,
     pairwise_lcs_gate,
     recursive_lcs,
@@ -271,6 +276,70 @@ def test_sweep_failures_are_the_rows_above_the_threshold():
     for f in r.failures:
         assert len(f.components) > 1
         assert f.components == verify_instance(f.path_set.graph, 1)[2]
+
+
+def test_class_sweep_matches_the_instance_sweep():
+    # each coloured isomorphism class is verified once, and every member's
+    # row, failure witness and cap count must equal its own verification
+    cases = [(verify_general_family, "all labeled graphs", labeled_edge_lists, 4, k, DEFAULT_CAP)
+             for k in range(5)]
+    cases += [(verify_linear_family, "linear graphs", linear_edge_lists, 8, k, DEFAULT_CAP)
+              for k in range(4)]
+    cases += [(verify_general_family, "all labeled graphs", labeled_edge_lists, 4, 4, 1),
+              (verify_linear_family, "linear graphs", linear_edge_lists, 8, 2, 1)]
+    failures = incomplete = 0
+    for sweep, label, edge_lists, n_max, k, cap in cases:
+        report = sweep(n_max, k, cap)
+        assert report == instance_sweep(label, edge_lists, n_max, k, cap)
+        failures += len(report.failures)
+        incomplete += len(report.incomplete)
+    assert failures and incomplete  # both witness kinds were compared
+
+
+def _instances(topologies, n):
+    """(class key, canonical form) of every coloured graph topologies(n) holds."""
+    for edges, classes in topologies(n):
+        for colors, key in zip(color_strings(n), classes, strict=True):
+            yield key, canonical_form(BWGraph.from_parts(colors, edges))
+
+
+def test_class_keys_are_the_isomorphism_classes():
+    for topologies, n_max in ((meta._edge_sets, 4), (meta._path, 8)):
+        for n in range(1, n_max + 1):
+            pairs = set(_instances(topologies, n))
+            keys = {key for key, _ in pairs}
+            forms = {form for _, form in pairs}
+            assert len(pairs) == len(keys) == len(forms)
+
+
+def test_class_key_counts_are_the_coloured_graph_counts():
+    # coloured graphs on n vertices (OEIS A000666) and graphs (A000088)
+    for n, classes, graphs in ((1, 2, 1), (2, 6, 2), (3, 20, 4), (4, 90, 11), (5, 544, 34)):
+        keys = {key for _, keys in meta._edge_sets(n) for key in keys}
+        assert (len(keys), len({rep for rep, _ in keys})) == (classes, graphs)
+
+
+def test_sweeps_call_verify_instance_once_per_class(monkeypatch):
+    # _sweep looks verify_instance up at each call, so a rebinding of it, as
+    # the bench probe and tracer make, sees every verification
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verify_instance(*args)
+
+    # linear n <= 5 at threshold 1: 41 classes, plus 7 failing rows that are
+    # verified again so that their witnesses are in their own labels
+    cases = (((verify_general_family, 4), 118), ((verify_linear_family, 7), 149),
+             ((verify_linear_family, 5, 1), 48))
+    monkeypatch.setattr(meta, "verify_instance", counted)
+    traced = []
+    for (sweep, *args), expected in cases:
+        calls.clear()
+        traced.append(sweep(*args))
+        assert len(calls) == expected
+    monkeypatch.undo()
+    assert traced == [sweep(*args) for (sweep, *args), _ in cases]
 
 
 def test_metagraph_to_dot_layout():

@@ -1,5 +1,6 @@
 """Path validity/success, exhaustive enumeration, and safe-press selection."""
 
+import gc
 import itertools
 import random
 
@@ -231,6 +232,22 @@ def test_enumeration_checks_its_paths_after_the_walk(monkeypatch):
     monkeypatch.setattr("pressgame.paths._count", lambda *args: (0, ()))
     with pytest.raises(AssertionError, match="^a solvable graph must have a successful path$"):
         enumerate_successful(g)
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # the walk keeps its levels on an explicit stack, so reference counting
+    # frees each call's state and nothing is left to the cyclic collector
+    g = linear_graph("BWBB")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for _ in range(1000):
+            enumerate_successful(g)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_enumeration_comes_out_in_strict_lexicographic_order():
