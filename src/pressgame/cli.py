@@ -7,8 +7,13 @@ found, 2 input or usage error, a --report file that cannot be written, or
 a sweep left incomplete by the enumeration cap (which verifies nothing).
 
 Reports are built only under --report, as JSON with sorted keys so that
-reruns of a deterministic command diff cleanly; wall_time is the one field
-excluded from that stability guarantee.
+reruns of a deterministic command diff cleanly; wall_time, the command's own
+time without building or writing the report, is the one field excluded
+from that stability guarantee.  Each dict outside a list is written one
+key per line, indented two spaces per level; a list of records (dicts),
+such as a sweep's stats rows, failures and incomplete graphs, is written
+one compact record per line, and every other value compactly on its key's
+line, so one changed instance is one changed line.
 """
 
 from __future__ import annotations
@@ -61,17 +66,41 @@ def load_graph(source: str) -> BWGraph:
         return parse_graph(fh.read())
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode  # no indent: the C encoder
+
+
+def _write_json(fh, value, pad: str) -> None:
+    """value as JSON in the module docstring's layout; pad is the
+    indentation of the line holding its opening bracket."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        sep = "{\n"
+        for key in sorted(value):
+            fh.write(f"{sep}{inner}{_encode(key)}: ")
+            _write_json(fh, value[key], inner)
+            sep = ",\n"
+        fh.write(f"\n{pad}}}")
+    elif isinstance(value, list) and value and all(isinstance(x, dict) for x in value):
+        sep = "[\n"
+        for record in value:  # written as encoded, never joined into one string
+            fh.write(f"{sep}{inner}{_encode(record)}")
+            sep = ",\n"
+        fh.write(f"\n{pad}]")
+    else:
+        fh.write(_encode(value))
+
+
 def write_report(report: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        _write_json(fh, report, "")
         fh.write("\n")
 
 
-def _graph_payload(g: BWGraph) -> dict:
+def _graph_payload(g: BWGraph, edges: list | None = None) -> dict:
     return {
         "n": g.n,
         "colors": g.color_string(),
-        "edges": g.edges(),
+        "edges": g.edges() if edges is None else edges,
     }
 
 
@@ -84,6 +113,14 @@ def _pathset_payload(ps: PathSet) -> dict:
 
 
 def _sweep_payload(r: SweepReport) -> dict:
+    edge_lists: dict[tuple[int, ...], list] = {}  # rows of one edge set share its list
+
+    def graph(g: BWGraph) -> dict:
+        edges = edge_lists.get(g.adj)
+        if edges is None:
+            edges = edge_lists[g.adj] = g.edges()
+        return _graph_payload(g, edges)
+
     return {
         "family": r.family,
         "threshold": r.threshold,
@@ -91,19 +128,19 @@ def _sweep_payload(r: SweepReport) -> dict:
         "instances_checked": r.instances_checked,
         "failures": [
             {
-                "graph": _graph_payload(f.path_set.graph),
+                "graph": graph(f.path_set.graph),
                 "paths": [format_path(p) for p in f.path_set.paths],
                 "components": f.components,
             }
             for f in r.failures
         ],
         "incomplete": [
-            {"graph": _graph_payload(g), "paths_found": count}
+            {"graph": graph(g), "paths_found": count}
             for g, count in r.incomplete
         ],
         "stats": [
             {
-                "graph": _graph_payload(s.graph),
+                "graph": graph(s.graph),
                 "path_count": s.path_count,
                 "connected": s.min_threshold <= r.threshold,
                 "min_threshold": s.min_threshold,
@@ -295,13 +332,14 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code, payload, source = args.handler(args)
+        wall_time = time.perf_counter() - start
         if args.report:
             write_report({
                 "command": list(argv),
                 "input": source,
                 "payload": payload(),
                 "version": __version__,
-                "wall_time": time.perf_counter() - start,
+                "wall_time": wall_time,
             }, args.report)
     except (GameError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

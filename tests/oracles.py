@@ -8,6 +8,7 @@ checked against a second, unrelated route.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from bisect import bisect_left
 from collections import deque
@@ -614,6 +615,14 @@ def chain_visits(g: BWGraph, path, seed: int, steps: int):
                 moves.append(t)
         visits.append(path)
     return visits, moves
+
+
+# ---------------------------------------------------------------------------
+# The --report writer that one record per line replaced: the whole document
+# indented through json's pure-Python encoder.
+
+def indented_report(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,20 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import pressgame
 from pressgame.bwgraph import format_graph, linear_graph
-from pressgame.cli import load_graph, main
+from pressgame.cli import _sweep_payload, load_graph, main, write_report
 from pressgame.errors import CapExceededError, GraphParseError, SelfLoopError
 from pressgame.permrev import SignedPermutation, build_dr, build_overlap, parse_signed_permutation
 from pressgame.sampler import run_chain
 
 from gen import all_graphs_upto, random_signed_permutation
-from oracles import interval_overlap
+from oracles import indented_report, interval_overlap
 
 
 def run(capsys, *argv):
@@ -288,6 +289,85 @@ def test_sweep_report_verdict_field(capsys, tmp_path):
     assert doc["payload"]["instances_checked"] == 12
     assert len(doc["payload"]["stats"]) == 12
     assert all(row["min_threshold"] <= 2 for row in doc["payload"]["stats"])
+
+
+def written_report(capsys, tmp_path, monkeypatch, argv):
+    """(exit code, the dict main handed write_report, the report file's
+    text); "witness" in argv names the n = 6 graph N6_WITNESS."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "witness").write_text(N6_WITNESS)
+    handed = []
+
+    def capture(report, path):
+        handed.append(report)
+        write_report(report, path)
+
+    monkeypatch.setattr("pressgame.cli.write_report", capture)
+    code = run(capsys, *argv, "--report", "r.json")[0]
+    (report,) = handed
+    return code, report, (tmp_path / "r.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("press", "linear:WBW", "1"),
+        ("overlap", "+4 -1 -6 +3 +2 +5"),
+        ("distance", "+4 -1 -6 +3 +2 +5"),
+        ("enumerate", "linear:BWBB"),
+        ("metagraph", "linear:BWBB", "--threshold", "2"),
+        ("metagraph", "witness", "--threshold", "3"),
+        ("verify-linear", "--n-max", "5", "--threshold", "1"),
+        ("verify-general", "--n-max", "2", "--cap", "1"),
+        ("sample", "linear:BWBB", "--steps", "2000", "--seed", "7"),
+    ],
+    ids=["press", "overlap", "distance", "enumerate", "metagraph", "metagraph-witness",
+         "verify-linear-fail", "verify-general-capped", "sample"],
+)
+def test_report_parses_as_the_indented_writer(capsys, tmp_path, monkeypatch, argv):
+    # the one-record-per-line layout changes the bytes, not the document
+    _, report, text = written_report(capsys, tmp_path, monkeypatch, argv)
+    assert json.loads(text) == json.loads(indented_report(report))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-linear", "--n-max", "5", "--threshold", "1"),
+        ("verify-general", "--n-max", "2", "--cap", "1"),
+    ],
+    ids=["stats-failures", "stats-incomplete"],
+)
+def test_report_writes_one_record_per_line(capsys, tmp_path, monkeypatch, argv):
+    # each record of a sweep's lists is one line that parses on its own, and
+    # writing the parsed document again gives the same bytes
+    _, _, text = written_report(capsys, tmp_path, monkeypatch, argv)
+    doc = json.loads(text)
+    lines = text.splitlines()
+    for key in ("failures", "incomplete", "stats"):
+        records = doc["payload"][key]
+        if not records:
+            assert f'    "{key}": [],' in lines
+            continue
+        i = lines.index(f'    "{key}": [')
+        rows = lines[i + 1 : i + 1 + len(records)]
+        assert [json.loads(row.removesuffix(",")) for row in rows] == records, key
+        assert lines[i + 1 + len(records)] in ("    ]", "    ],"), key
+    again = tmp_path / "again.json"
+    write_report(doc, str(again))
+    assert again.read_bytes() == (tmp_path / "r.json").read_bytes()
+
+
+def test_wall_time_excludes_the_report(capsys, tmp_path, monkeypatch):
+    # the clock stops when the handler returns, before the payload is built
+    def slow_payload(r):
+        time.sleep(0.3)
+        return _sweep_payload(r)
+
+    monkeypatch.setattr("pressgame.cli._sweep_payload", slow_payload)
+    r = tmp_path / "r.json"
+    assert run(capsys, "verify-linear", "--n-max", "3", "--report", str(r))[0] == 0
+    assert json.loads(r.read_text())["wall_time"] < 0.3
 
 
 def test_unwritable_report_is_input_error(capsys, tmp_path):

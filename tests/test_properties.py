@@ -1,8 +1,9 @@
 """Property tests over generated inputs (derandomized, so tier-1 stays
-deterministic): the graph text format, the press/reversal bridge and the
-metagraph gate."""
+deterministic): the graph text format, the press/reversal bridge, the
+metagraph gate and the --report writer."""
 
 import itertools
+import json
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from pressgame.bwgraph import (
     parse_graph,
     press,
 )
+from pressgame.cli import write_report
 from pressgame.meta import connectivity
 from pressgame.paths import PathSet, greedy_solve
 from pressgame.permrev import (
@@ -23,7 +25,7 @@ from pressgame.permrev import (
     reversal_on_desire_edge,
 )
 
-from oracles import pairwise_lcs_gate
+from oracles import indented_report, pairwise_lcs_gate
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -56,6 +58,18 @@ def path_sets(draw):
     rows = st.permutations(range(10)).map(lambda p: tuple(p[:length]))
     paths = draw(st.lists(rows, min_size=2, max_size=12, unique=True))
     return PathSet(graph=BWGraph.from_parts("W" * 10), paths=tuple(paths), common_length=length)
+
+
+# strings that need escaping: quotes, backslashes, control and non-ASCII text
+texts = st.text(st.sampled_from('ab "\\\n\t\x00é€😀'), max_size=6) | st.text(max_size=4)
+scalars = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | texts
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(st.dictionaries(texts, inner, max_size=3), max_size=4)
+    | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=24,
+)
 
 
 def overlap_of(p):
@@ -105,3 +119,12 @@ def test_connectivity_matches_pairwise_lcs(ps):
     # covers one-vertex keys, the empty key at d = L and thresholds above L
     for k in range(ps.common_length + 2):
         assert connectivity(ps, k) == pairwise_lcs_gate(ps, k)
+
+
+@FIXED
+@given(st.dictionaries(texts, json_values, max_size=5))
+def test_report_parses_as_the_indented_writer(tmp_path_factory, report):
+    # NaN is left out: it parses unequal to itself
+    path = tmp_path_factory.getbasetemp() / "report-property.json"
+    write_report(report, str(path))
+    assert json.loads(path.read_text()) == json.loads(indented_report(report))
