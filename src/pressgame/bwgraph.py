@@ -123,8 +123,8 @@ def _transpose_masks(w: int) -> tuple[tuple[tuple[int, int], ...], int]:
 
 
 def _unchecked(n: int, colors: int, adj: tuple[int, ...]) -> BWGraph:
-    """A BWGraph built without __post_init__, for results that keep the
-    invariant by construction (press runs in every inner loop)."""
+    """A BWGraph built without __post_init__, for rows that keep the invariant
+    by construction: from_parts, apply_path (so press) and meta's sweeps."""
     g = object.__new__(BWGraph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "colors", colors)

@@ -30,7 +30,7 @@ from functools import cache
 from itertools import combinations, permutations
 from operator import itemgetter
 
-from .bwgraph import BWGraph
+from .bwgraph import BWGraph, _unchecked
 from .errors import CapExceededError, EmptyPathSetError, UnsolvableError
 from .paths import DEFAULT_CAP, PathSet, PressingPath, enumerate_successful, format_path
 
@@ -170,9 +170,10 @@ def _sweep(label: str, topologies, n_max: int, threshold: int, cap: int) -> Swee
     topologies(n): by n, then edge list in order, then colour mask ascending
     (bit v set means vertex v is black).  verify_instance rejects k < 0.
     topologies(n) yields (edges, classes), classes[c] the key of colour mask
-    c, shared only by isomorphic coloured graphs.  Each class is verified
-    once per n (exact, see the module docstring), and a failing member again,
-    so that its witness is in its own labels."""
+    c, shared only by isomorphic coloured graphs.  Colourings share their
+    edge set's from_parts rows and are built as from_parts builds them.
+    Each class is verified once per n (exact, see the module docstring), and
+    a failing member again, so that its witness is in its own labels."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     stats: list[InstanceStats] = []
@@ -183,7 +184,7 @@ def _sweep(label: str, topologies, n_max: int, threshold: int, cap: int) -> Swee
         for edges, classes in topologies(n):
             adj = BWGraph.from_parts("W" * n, edges).adj
             for colors, key in enumerate(classes):
-                g = BWGraph(n, colors, adj)
+                g = _unchecked(n, colors, adj)
                 hit = seen.get(key)
                 if hit is None or isinstance(hit, InstanceStats) and hit.min_threshold > threshold:
                     try:

@@ -9,8 +9,9 @@ leaves an unsolvable state heads a subtree with no paths, which the cap
 cannot stop, so the count may visit all of it.  A walk over the live moves
 then lists the paths in the same lexicographic order a depth-first search
 would, so two runs are byte-identical; the walk presses nothing and enters
-no dead end.  Every state with a path lies on a walked path, so checking
-that the walked paths share one length checks the equal-length law.
+no dead end.  Both passes recurse once per press, under one guard.  Every
+state with a path lies on a walked path, so checking that the walked paths
+share one length checks the equal-length law.
 """
 
 from __future__ import annotations
@@ -61,39 +62,36 @@ def enumerate_successful(g: BWGraph, cap: int = DEFAULT_CAP) -> PathSet:
     that work is not bounded by the cap.  Raises UnsolvableError when no
     successful path can exist, CapExceededError (never a silent truncation)
     with count_so_far cap + 1 when there are more than cap paths, and
-    GameError when the paths are too long (about 1,000 presses) for
-    Python's recursion limit; AssertionError if two paths differ in length.
+    GameError when the paths are too long (about 1,000 presses) for either
+    pass's recursion; AssertionError if two paths differ in length.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     if not is_solvable(g):
         raise UnsolvableError("graph has a non-trivial unoriented component")
-    try:  # the count recurses once per press
+    found: list[PressingPath] = []
+    try:  # both passes recurse once per press
         count, moves = _count(g.colors, g.adj, cap, {})
+        _walk(moves, [], found)
     except RecursionError:
         raise GameError("successful paths too long to enumerate") from None
-    # depth first, one live-moves iterator per level; a move with none ends a path
-    found: list[PressingPath] = [] if moves else [()]
-    prefix: list[int] = []
-    stack = [iter(moves)]
-    while stack:
-        for v, child_moves in stack[-1]:
-            prefix.append(v)
-            if child_moves:
-                stack.append(iter(child_moves))
-                break
-            found.append(tuple(prefix))
-            prefix.pop()
-        else:
-            stack.pop()
-            if prefix:  # the move into the level just left
-                prefix.pop()
     if not count:
         raise AssertionError("a solvable graph must have a successful path")
     common_length = len(found[0])
     if set(map(len, found)) != {common_length}:
         raise AssertionError("equal-length law violated")
     return PathSet(graph=g, paths=tuple(found), common_length=common_length)
+
+
+def _walk(moves: Moves, prefix: list[int], found: list[PressingPath]) -> None:
+    """Append prefix + each path through moves to found, lexicographically;
+    a state with no live moves is the all-white empty one, so a path end."""
+    if not moves:
+        found.append(tuple(prefix))
+    for v, child_moves in moves:
+        prefix.append(v)
+        _walk(child_moves, prefix, found)
+        prefix.pop()
 
 
 def _count(colors: int, adj: tuple[int, ...], cap: int, memo: dict) -> tuple[int, Moves]:

@@ -235,8 +235,8 @@ def test_enumeration_checks_its_paths_after_the_walk(monkeypatch):
 
 
 def test_enumeration_leaves_no_reference_cycles():
-    # the walk keeps its levels on an explicit stack, so reference counting
-    # frees each call's state and nothing is left to the cyclic collector
+    # the walk is a module-level function with no closure cell, so reference
+    # counting frees each call's state and nothing is left to the cyclic collector
     g = linear_graph("BWBB")
     enabled = gc.isenabled()
     gc.disable()

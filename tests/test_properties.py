@@ -1,6 +1,6 @@
 """Property tests over generated inputs (derandomized, so tier-1 stays
-deterministic): the graph text format, the press/reversal bridge, the
-metagraph gate and the --report writer."""
+deterministic): the graph text format, path enumeration, the press/reversal
+bridge, the metagraph gate and the --report writer."""
 
 import itertools
 import json
@@ -17,7 +17,7 @@ from pressgame.bwgraph import (
 )
 from pressgame.cli import write_report
 from pressgame.meta import connectivity
-from pressgame.paths import PathSet, greedy_solve
+from pressgame.paths import DEFAULT_CAP, PathSet, enumerate_successful, greedy_solve
 from pressgame.permrev import (
     SignedPermutation,
     build_dr,
@@ -25,7 +25,7 @@ from pressgame.permrev import (
     reversal_on_desire_edge,
 )
 
-from oracles import indented_report, pairwise_lcs_gate
+from oracles import dfs_enumerate, indented_report, pairwise_lcs_gate
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -98,6 +98,15 @@ def test_fold_stops_at_a_repeated_vertex(g, data):
     again = data.draw(st.sampled_from(prefix))
     rest = data.draw(st.lists(st.integers(0, g.n - 1), max_size=g.n))
     assert fold_path(g, [*prefix, again, *rest])[0] == len(prefix)
+
+
+@FIXED
+@given(graphs())
+def test_enumeration_matches_dfs_oracle_on_labeled_graphs(g):
+    # reaches labeled graphs on 6-8 vertices, past the exhaustive families
+    assume(is_solvable(g))
+    ps, ref = enumerate_successful(g), dfs_enumerate(g, DEFAULT_CAP)
+    assert (ps.paths, ps.common_length) == (ref.paths, ref.common_length)
 
 
 @FIXED
