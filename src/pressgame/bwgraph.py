@@ -123,8 +123,8 @@ def _transpose_masks(w: int) -> tuple[tuple[tuple[int, int], ...], int]:
 
 
 def _unchecked(n: int, colors: int, adj: tuple[int, ...]) -> BWGraph:
-    """A BWGraph built without __post_init__, for rows that keep the invariant
-    by construction: from_parts, apply_path (so press) and meta's sweeps."""
+    """A BWGraph built without __post_init__, for rows that keep the invariant by
+    construction: from_parts, parse_graph, apply_path (so press) and meta's sweeps."""
     g = object.__new__(BWGraph)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "colors", colors)
@@ -178,7 +178,7 @@ def press(g: BWGraph, v: int) -> BWGraph:
     return apply_path(g, (v,))
 
 
-def _edge_components(g: BWGraph) -> Iterator[int]:
+def classify_components(g: BWGraph) -> Iterator[int]:
     """Yield the vertex bitmask of each connected component that has an edge,
     in order of lowest vertex; isolated vertices never start a walk."""
     adj = g.adj
@@ -197,17 +197,11 @@ def _edge_components(g: BWGraph) -> Iterator[int]:
         yield comp
 
 
-def classify_components(g: BWGraph) -> tuple[int, ...]:
-    """Vertex bitmasks of the components that have an edge: the walk behind
-    is_solvable, kept public so bench/tracing.py can trace it by name."""
-    return tuple(_edge_components(g))
-
-
 def is_solvable(g: BWGraph) -> bool:
     """True iff every component with an edge has a black vertex, which is
     exactly when the all-white empty graph is reachable; stops at the first
     component with none."""
-    return all(c & g.colors for c in _edge_components(g))
+    return all(c & g.colors for c in classify_components(g))
 
 
 def is_all_white_empty(g: BWGraph) -> bool:
@@ -254,7 +248,7 @@ def parse_graph(text: str) -> BWGraph:
     if n == 0:
         for no, ln in body[1:]:
             raise GraphParseError(no, f"unexpected content {ln!r} in empty graph")
-        return BWGraph(0, 0, ())
+        return _unchecked(0, 0, ())
     if len(body) < 2:
         raise GraphParseError(len(lines) + 1, "missing color line")
     no, color_line = body[1]
@@ -281,7 +275,7 @@ def parse_graph(text: str) -> BWGraph:
             raise DuplicateEdgeError(no, f"duplicate edge {u} {v}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return BWGraph(n, colors, tuple(adj))
+    return _unchecked(n, colors, tuple(adj))  # every row passed the checks above
 
 
 def format_graph(g: BWGraph) -> str:

@@ -22,7 +22,6 @@ from pressgame.bwgraph import (
     fold_path,
     is_all_white_empty,
     is_solvable,
-    linear_graph,
     press,
 )
 from pressgame.errors import (
@@ -38,6 +37,8 @@ from pressgame.paths import PathSet, PressingPath, find_safe_press, is_successfu
 from pressgame.permrev import SignedPermutation
 from pressgame.sampler import _below, proposal_probability
 
+from gen import all_graphs_upto
+
 
 # ---------------------------------------------------------------------------
 # Naive pressing game on (colors dict, edge set) pairs.
@@ -46,6 +47,10 @@ def naive_graph(color_string, edges):
     colors = {v: c for v, c in enumerate(color_string)}
     edge_set = frozenset(frozenset(e) for e in edges)
     return colors, edge_set
+
+
+def as_naive(g):
+    return naive_graph(g.color_string(), g.edges())
 
 
 def naive_press(state, v):
@@ -136,41 +141,6 @@ def dfs_enumerate(g: BWGraph, cap: int) -> PathSet:
 
 
 # ---------------------------------------------------------------------------
-# The sweep families as colour strings parsed back into graphs (the sweeps
-# build each edge list's rows once and walk the colour masks).
-
-def color_strings(n: int):
-    # mask bit i set = vertex i black; ascending mask order fixes the
-    # instance order of sweep reports
-    for mask in range(1 << n):
-        yield "".join("B" if mask >> i & 1 else "W" for i in range(n))
-
-
-def linear_family(n_max: int):
-    for n in range(1, n_max + 1):
-        for colors in color_strings(n):
-            yield linear_graph(colors)
-
-
-def labeled_edge_lists(n: int):
-    # ascending edge mask over combinations(range(n), 2)
-    pairs = list(itertools.combinations(range(n), 2))
-    for edge_mask in range(1 << len(pairs)):
-        yield [pairs[b] for b in range(len(pairs)) if edge_mask >> b & 1]
-
-
-def linear_edge_lists(n: int):
-    yield [(i, i + 1) for i in range(n - 1)]
-
-
-def labeled_family(n_max: int):
-    for n in range(1, n_max + 1):
-        for edges in labeled_edge_lists(n):
-            for colors in color_strings(n):
-                yield BWGraph.from_parts(colors, edges)
-
-
-# ---------------------------------------------------------------------------
 # The sweep one instance at a time (the package verifies each coloured
 # isomorphism class once per n), and brute-force canonical forms.
 
@@ -180,21 +150,17 @@ def instance_sweep(label, edge_lists, n_max, threshold, cap):
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     stats, failures, incomplete = [], [], []
-    for n in range(1, n_max + 1):
-        for edges in edge_lists(n):
-            adj = BWGraph.from_parts("W" * n, edges).adj
-            for colors in range(1 << n):
-                g = BWGraph(n, colors, adj)
-                try:
-                    row, ps, components = verify_instance(g, threshold, cap)
-                except UnsolvableError:
-                    continue
-                except CapExceededError as exc:
-                    incomplete.append((g, exc.count_so_far))
-                    continue
-                stats.append(row)
-                if row.min_threshold > threshold:
-                    failures.append(SweepFailure(ps, components))
+    for g in all_graphs_upto(n_max, edge_lists):
+        try:
+            row, ps, components = verify_instance(g, threshold, cap)
+        except UnsolvableError:
+            continue
+        except CapExceededError as exc:
+            incomplete.append((g, exc.count_so_far))
+            continue
+        stats.append(row)
+        if row.min_threshold > threshold:
+            failures.append(SweepFailure(ps, components))
     return SweepReport(
         family=f"{label}, n <= {n_max}",
         threshold=threshold,

@@ -32,14 +32,15 @@ from pressgame.errors import (
     PressOnWhiteError,
     SelfLoopError,
 )
+from pressgame.meta import verify_general_family, verify_linear_family
 from pressgame.paths import greedy_solve
 from pressgame.permrev import SignedPermutation, build_dr, build_overlap
 
 from gen import all_graphs, all_graphs_upto, random_signed_permutation
 from oracles import (
+    as_naive,
     cellwise_transpose_masks,
     guarded_press,
-    naive_graph,
     naive_press,
     rowwise_graph_check,
     union_find_components,
@@ -48,10 +49,6 @@ from oracles import (
 
 
 SRC = Path(bwgraph.__file__).parents[1]
-
-
-def as_naive(g):
-    return naive_graph(g.color_string(), g.edges())
 
 
 def test_press_isolated_black_vertex():
@@ -135,13 +132,13 @@ def test_apply_path_reports_first_bad_position():
 
 
 def test_classify_components_examples():
-    assert classify_components(BWGraph.from_parts("WWW")) == ()
-    assert classify_components(linear_graph("WBW")) == (0b111,)
+    assert tuple(classify_components(BWGraph.from_parts("WWW"))) == ()
+    assert tuple(classify_components(linear_graph("WBW"))) == (0b111,)
     two = BWGraph.from_parts("BBWW", [(0, 1), (2, 3)])
-    assert classify_components(two) == (0b0011, 0b1100)
+    assert tuple(classify_components(two)) == (0b0011, 0b1100)
     # isolated vertices 1 and 3 start no walk; a component's mask keeps its gaps
     gapped = BWGraph.from_parts("WWBWW", [(0, 4), (2, 4)])
-    assert classify_components(gapped) == (0b10101,)
+    assert tuple(classify_components(gapped)) == (0b10101,)
 
 
 def test_is_solvable_examples():
@@ -322,6 +319,20 @@ def test_from_parts_errors():
         BWGraph.from_parts("BX")
 
 
+def test_only_caller_rows_and_overlap_rows_take_the_checked_constructor(monkeypatch):
+    # sweep colourings and parsed text have rows valid by construction and
+    # skip __post_init__; build_overlap's rows take the check
+    calls, check = [], BWGraph.__post_init__
+    monkeypatch.setattr(BWGraph, "__post_init__", lambda g: calls.append(g.n) or check(g))
+    verify_general_family(4)
+    verify_linear_family(7)
+    assert parse_graph("3\nBWB\n0 1\n1 2\n") == linear_graph("BWB")
+    assert parse_graph("0\n") == BWGraph.from_parts("")
+    assert calls == []
+    build_overlap(build_dr(SignedPermutation((4, -1, -6, 3, 2, 5))))
+    assert calls == [7]
+
+
 def test_pressed_vertex_stays_isolated_white():
     # monotonicity: once pressed, a vertex never reappears in play
     for g in all_graphs(3):
@@ -368,7 +379,7 @@ def test_classify_components_matches_union_find():
             for comp in union_find_components(g.n, g.edges())
             if len(comp) > 1
         )
-        assert classify_components(g) == want
+        assert tuple(classify_components(g)) == want
         assert is_solvable(g) == union_find_solvable(g)
         count += 1
     assert count == 33_866

@@ -15,17 +15,12 @@ from pressgame.meta import (
 )
 from pressgame.paths import DEFAULT_CAP, PathSet, enumerate_successful
 
-from gen import all_graphs_upto
+from gen import all_graphs_upto, color_strings, labeled_edge_lists, linear_edge_lists, linear_family
 from oracles import (
     bucket_gate,
     canonical_form,
-    color_strings,
     instance_sweep,
-    labeled_edge_lists,
-    labeled_family,
     lcs_distinct,
-    linear_edge_lists,
-    linear_family,
     pairwise_lcs_gate,
     recursive_lcs,
     union_find_components,
@@ -178,7 +173,7 @@ def test_connectivity_matches_pairwise_lcs_gate():
 def _gate_cases():
     """(path set, k) over every solvable labeled graph with n <= 5 at
     k = 0..4, then every solvable linear graph with n <= 8 at k = 0..3."""
-    for family, ks in ((labeled_family(5), range(5)), (linear_family(8), range(4))):
+    for family, ks in ((all_graphs_upto(5), range(5)), (linear_family(8), range(4))):
         for g in family:
             if is_solvable(g):
                 ps = enumerate_successful(g)
@@ -244,12 +239,12 @@ def test_cap_marks_sweep_incomplete_not_failed():
 
 def test_sweep_order_matches_the_color_string_families():
     # instances come by n, then edge list, then colour mask ascending,
-    # exactly the order of the families built from colour strings
+    # exactly the order of the test families
     def solvable(graphs):
         return [g for g in graphs if is_solvable(g)]
 
     general = [row.graph for row in verify_general_family(4).stats]
-    assert general == solvable(labeled_family(4))
+    assert general == solvable(all_graphs_upto(4))
     linear = [row.graph for row in verify_linear_family(7).stats]
     assert len(linear) == 248
     assert linear == solvable(linear_family(7))

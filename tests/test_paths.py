@@ -32,22 +32,23 @@ from pressgame.paths import (
 )
 from pressgame.permrev import SignedPermutation, build_dr, build_overlap
 
-from gen import all_colorings, all_graphs_upto, random_graph, random_signed_permutation
+from gen import (
+    all_graphs_upto,
+    color_strings,
+    linear_family,
+    random_graph,
+    random_signed_permutation,
+)
 from oracles import (
+    as_naive,
     dfs_enumerate,
     is_valid_path,
     iterated_safe_press,
-    linear_family,
-    naive_graph,
     naive_is_done,
     naive_press,
     naive_solvable,
     naive_successful_paths,
 )
-
-
-def as_naive(g):
-    return naive_graph(g.color_string(), g.edges())
 
 
 def test_is_valid_path_examples():
@@ -322,7 +323,7 @@ def test_greedy_solve_is_always_successful():
 
 def test_every_black_vertex_appears_in_some_path_on_linear_graphs():
     for n in range(1, 7):
-        for colors in all_colorings(n):
+        for colors in color_strings(n):
             g = linear_graph(colors)
             if not is_solvable(g):
                 continue

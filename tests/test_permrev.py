@@ -25,7 +25,7 @@ from pressgame.permrev import (
     reversal_on_desire_edge,
 )
 
-from gen import random_signed_permutation
+from gen import overlap_of, random_signed_permutation
 from oracles import (
     all_signed_permutations,
     dr_to_permutation,
@@ -46,10 +46,6 @@ FIG1_EDGES = [
 
 def perm(text):
     return parse_signed_permutation(text)
-
-
-def overlap_of(p):
-    return build_overlap(build_dr(p))
 
 
 def test_parse_examples():

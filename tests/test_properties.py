@@ -18,13 +18,9 @@ from pressgame.bwgraph import (
 from pressgame.cli import write_report
 from pressgame.meta import connectivity
 from pressgame.paths import DEFAULT_CAP, PathSet, enumerate_successful, greedy_solve
-from pressgame.permrev import (
-    SignedPermutation,
-    build_dr,
-    build_overlap,
-    reversal_on_desire_edge,
-)
+from pressgame.permrev import SignedPermutation, reversal_on_desire_edge
 
+from gen import overlap_of
 from oracles import dfs_enumerate, indented_report, pairwise_lcs_gate
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -70,10 +66,6 @@ json_values = st.recursive(
     | st.dictionaries(texts, inner, max_size=4),
     max_leaves=24,
 )
-
-
-def overlap_of(p):
-    return build_overlap(build_dr(p))
 
 
 @FIXED

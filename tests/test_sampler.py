@@ -19,12 +19,11 @@ from pressgame.sampler import (
     tv_distance,
 )
 
-from gen import all_colorings, all_graphs_upto
+from gen import all_graphs_upto, color_strings, linear_family
 from oracles import (
     brute_force_proposal,
     chain_visits,
     exact_transition_matrix,
-    linear_family,
     propose,
     union_find_components,
 )
@@ -288,7 +287,7 @@ def test_tv_distance_examples():
 
 def test_transition_matrix_is_stochastic_and_in_detailed_balance():
     for n in range(1, 5):
-        for colors in all_colorings(n):
+        for colors in color_strings(n):
             g = linear_graph(colors)
             try:
                 ps = enumerate_successful(g)
@@ -318,7 +317,7 @@ def test_chain_is_irreducible_on_linear_graphs():
     # one solvable linear instance up to n=6 with several length-1 paths
     stuck = []
     for n in range(1, 7):
-        for colors in all_colorings(n):
+        for colors in color_strings(n):
             g = linear_graph(colors)
             try:
                 ps = enumerate_successful(g)
@@ -342,7 +341,7 @@ def test_chain_is_irreducible_on_linear_graphs():
 def test_moves_are_the_threshold_2_metagraph_edges():
     # P -> Q != P has positive probability exactly when P and Q share an
     # (L-2)-subsequence, the key build_metagraph(ps, 2) groups paths by
-    linear = (linear_graph(c) for n in range(1, 7) for c in all_colorings(n))
+    linear = (linear_graph(c) for n in range(1, 7) for c in color_strings(n))
     graphs = [*all_graphs_upto(4), *linear]
     instances = pairs = joined = 0
     for g in graphs:

@@ -9,6 +9,7 @@ import tokenize
 from pathlib import Path
 from types import SimpleNamespace
 
+from pressgame.bwgraph import format_graph, linear_graph, parse_graph
 from pressgame.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -92,3 +93,13 @@ def test_readme_command_line_block_prints_what_it_shows(capsys):
         assert main(shlex.split(command)[2:]) == 0, command
         assert capsys.readouterr().out == want.rstrip("\n") + "\n", command
     assert len(examples) == 6
+
+
+def test_readme_graph_text_block_round_trips():
+    # the block under "Graph text format" is the linear graph BWB, and
+    # format_graph writes it back byte for byte
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Graph text format\n.*?^```\n(.*?)^```", readme, re.S | re.M).group(1)
+    g = parse_graph(block)
+    assert g == linear_graph("BWB")
+    assert format_graph(g) == block
