@@ -12,10 +12,12 @@ connected, and otherwise never leave the start path's component.
 proposal_probability gives q exactly, for the detailed-balance tests.
 
 Shortcuts that keep every trajectory (propose and chain_visits in
-tests/oracles.py are the move and the chain without them): mh_step rejects
-a candidate that repeats a vertex from its six draws, before the splice
-builds it, as a pressed vertex is left white and isolated; run_chain adds
-each run on one path to the histogram when the run ends.
+tests/oracles.py are the move and the chain without them): mh_step draws
+inline, by the loop of CPython's randrange(m) (3.10 to 3.13: m.bit_length()
+bits, redrawn while >= m), reading the words propose reads through _below;
+it rejects a candidate that repeats a vertex from its six draws, before the
+splice builds it, as a pressed vertex is left white and isolated; run_chain
+adds each run on one path to the histogram when the run ends.
 
 Length-0 and length-1 paths admit no remove-2/add-2 move; those chains
 are single-state by construction and run_chain reports them as such.
@@ -57,28 +59,21 @@ def proposal_probability(src: PressingPath, dst: PressingPath, n: int) -> Fracti
     A draw is (deletion pair, first (slot, label), second (slot, label)),
     all uniform.  Each way of writing dst as src minus a position pair
     plus a final position pair is realized by exactly 2 insertion orders,
-    so the count reduces to matching (L-2)-subsequences of both paths.
+    so the count reduces to matching (L-2)-subsequences of both paths,
+    where the two labels dst drops are ones a draw can produce: in range(n).
     """
     L = len(src)
     if L < 2:
         raise PathTooShortError(f"need at least 2 presses, path has {L}")
+    if n < 1:
+        raise ValueError("cannot draw vertices of an empty graph")
     if len(dst) != L:
         return Fraction(0)
-    cd = Counter(combinations(dst, L - 2))
+    drops = [(p, q) for p, q in combinations(range(L), 2) if 0 <= dst[p] < n and 0 <= dst[q] < n]
+    cd = Counter(dst[:p] + dst[p + 1:q] + dst[q + 1:] for p, q in drops)
     matches = sum(m * cd[r] for r, m in Counter(combinations(src, L - 2)).items())
     denom = (L * (L - 1) // 2) * (L - 1) * n * L * n
     return Fraction(2 * matches, denom)
-
-
-def _below(getrandbits, n: int) -> int:
-    """Uniform draw from range(n), n >= 1, by the loop of CPython's randrange(n)
-    (3.10 to 3.13): n.bit_length() bits from getrandbits, redrawn while >= n.
-    The same words are read, so a seed gives the same chain trajectory."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
 
 
 def mh_step(g: BWGraph, path: PressingPath, bits) -> PressingPath | None:
@@ -96,10 +91,27 @@ def mh_step(g: BWGraph, path: PressingPath, bits) -> PressingPath | None:
         return None
     if n < 1:
         raise ValueError("cannot draw vertices of an empty graph")
-    i, j = _below(bits, L), _below(bits, L - 1)
+    kL, kM, kn = L.bit_length(), (L - 1).bit_length(), n.bit_length()
+    i = bits(kL)
+    while i >= L:
+        i = bits(kL)
+    j = bits(kM)
+    while j >= L - 1:
+        j = bits(kM)
     if j >= i:
         j += 1
-    slot1, a, slot2, b = _below(bits, L - 1), _below(bits, n), _below(bits, L), _below(bits, n)
+    slot1 = bits(kM)
+    while slot1 >= L - 1:
+        slot1 = bits(kM)
+    a = bits(kn)
+    while a >= n:
+        a = bits(kn)
+    slot2 = bits(kL)
+    while slot2 >= L:
+        slot2 = bits(kL)
+    b = bits(kn)
+    while b >= n:
+        b = bits(kn)
     gone = (path[i], path[j])
     if a == b or (a in path and a not in gone) or (b in path and b not in gone):
         return None

@@ -35,7 +35,7 @@ from pressgame.errors import (
 from pressgame.meta import SweepFailure, SweepReport, verify_instance
 from pressgame.paths import PathSet, PressingPath, find_safe_press, is_successful_path
 from pressgame.permrev import SignedPermutation
-from pressgame.sampler import _below, proposal_probability
+from pressgame.sampler import proposal_probability
 
 from gen import all_graphs_upto
 
@@ -539,9 +539,20 @@ def exact_transition_matrix(ps: PathSet) -> list[list[Fraction]]:
 
 # ---------------------------------------------------------------------------
 # The chain one visit per step, drawing, building and folding every
-# candidate: the move and the loop that mh_step's rejection of a repeated
-# vertex from the six draws, before the splice, and run_chain's run lengths
-# replace.
+# candidate: the draw, the move and the loop that mh_step's inline draws, its
+# rejection of a repeated vertex from the six draws, before the splice, and
+# run_chain's run lengths replace.
+
+def _below(getrandbits, n: int) -> int:
+    """Uniform draw from range(n), n >= 1, by the loop of CPython's randrange(n)
+    (3.10 to 3.13): n.bit_length() bits from getrandbits, redrawn while >= n.
+    The same words are read, so a seed gives the same chain trajectory."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
 
 def propose(path: PressingPath, n: int, bits) -> PressingPath:
     """Draw a candidate by one remove-2/add-2 move on path over n vertices,

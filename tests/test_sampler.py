@@ -12,7 +12,6 @@ from pressgame.errors import EmptyPathSetError, PathTooShortError, UnsolvableErr
 from pressgame.meta import build_metagraph
 from pressgame.paths import PathSet, enumerate_successful, greedy_solve, is_successful_path
 from pressgame.sampler import (
-    _below,
     mh_step,
     proposal_probability,
     run_chain,
@@ -21,6 +20,7 @@ from pressgame.sampler import (
 
 from gen import all_graphs_upto, color_strings, linear_family
 from oracles import (
+    _below,
     brute_force_proposal,
     chain_visits,
     exact_transition_matrix,
@@ -58,6 +58,8 @@ def test_proposal_probability_matches_draw_enumeration():
         ((0, 1, 3, 2), (2, 1, 3, 0), 4),
         ((0, 1, 2), (0, 1, 2), 4),
         ((5, 5, 5), (5, 5, 0), 6),
+        ((0, 1), (1, 2), 2),  # dst drops label 2, which no draw below 2 gives
+        ((0, 1, 2), (0, 3, 1), 3),
     ]
     for src, dst, n in cases:
         assert proposal_probability(src, dst, n) == brute_force_proposal(src, dst, n)
@@ -92,6 +94,8 @@ def test_short_paths_cannot_propose():
         propose((0,), 1, random.Random(0).getrandbits)
     with pytest.raises(ValueError):
         propose((0, 0), 0, random.Random(0).getrandbits)  # no vertices to draw
+    with pytest.raises(ValueError, match="^cannot draw vertices of an empty graph$"):
+        proposal_probability((0, 0), (0, 0), 0)
 
 
 def test_below_reads_the_same_stream_as_randrange():
@@ -181,10 +185,47 @@ def test_mh_step_rejects_from_the_draws_as_the_fold_would(monkeypatch):
 
 
 def test_mh_step_keeps_the_empty_graph_guard():
-    # getrandbits(0) is always 0, so without the guard _below(bits, 0) would
-    # redraw forever; the finite script makes that an IndexError here instead
+    # getrandbits(0) is always 0, so without the guard the label draw below 0
+    # would redraw forever; the finite script makes that an IndexError here instead
     with pytest.raises(ValueError, match="^cannot draw vertices of an empty graph$"):
         mh_step(BWGraph(0, 0, ()), (0, 0), scripted([0] * 6))
+
+
+def test_mh_step_draws_read_the_words_propose_reads(monkeypatch):
+    # with every candidate accepted, mh_step gives propose's candidate unless
+    # it repeats a vertex, and leaves its stream where propose leaves its own:
+    # labels up to 6 bits wide and slots up to 4, so words at or past a bound
+    # come up often and each draw must redraw exactly when _below does
+    monkeypatch.setattr(sampler, "is_successful_path", lambda g, cand: True)
+    steps = kept = 0
+    words = []  # the width of every word mh_step reads
+
+    def bits(k):
+        words.append(k)
+        return mine.getrandbits(k)
+
+    for n in range(1, 41):
+        g = BWGraph.from_parts("W" * n, [])
+        for L in range(2, min(n, 10) + 1):
+            paths, mine, ref = random.Random(n * L), random.Random(L), random.Random(L)
+            for _ in range(40):
+                path = tuple(paths.sample(range(n), L))
+                cand = propose(path, n, ref.getrandbits)
+                got = mh_step(g, path, bits)
+                assert got == (cand if len(set(cand)) == L else None), (n, path)
+                assert mine.getstate() == ref.getstate(), (n, path)
+                steps += 1
+                kept += got is not None
+    assert (steps, kept, len(words) - 6 * steps) == (12600, 7810, 46013)  # redraws
+
+    # the smallest rejected word, the bound itself, first on each draw in turn
+    path, g = (0, 1, 2), BWGraph.from_parts("WWWWW", [])
+    bounds, below = (3, 2, 2, 5, 3, 5), [2, 0, 1, 4, 0, 3]
+    for d, bound in enumerate(bounds):
+        script = below[:d] + [bound] + below[d:]
+        cand = propose(path, 5, scripted(list(script)))
+        assert mh_step(g, path, scripted(script)) == cand == (3, 1, 4), d
+        assert script == []
 
 
 def test_run_chain_support_and_tv():
