@@ -27,6 +27,7 @@ from .errors import (
 
 BLACK = "B"
 WHITE = "W"
+_COLOR_OF_BIT = str.maketrans("01", WHITE + BLACK)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -95,7 +96,8 @@ class BWGraph:
         return bool(self.colors >> v & 1)
 
     def color_string(self) -> str:
-        return "".join(BLACK if self.is_black(v) else WHITE for v in range(self.n))
+        # the mask's bits from vertex 0 up, a 1 above vertex n-1 keeping the leading 0s
+        return bin(self.colors | 1 << self.n)[:2:-1].translate(_COLOR_OF_BIT)
 
     def black_vertices(self) -> tuple[int, ...]:
         return tuple(_bits(self.colors))

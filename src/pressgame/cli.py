@@ -13,7 +13,9 @@ from that stability guarantee.  Each dict outside a list is written one
 key per line, indented two spaces per level; a list of records (dicts),
 such as a sweep's stats rows, failures and incomplete graphs, is written
 one compact record per line, and every other value compactly on its key's
-line, so one changed instance is one changed line.
+line, so one changed instance is one changed line.  A sweep's stats rows
+are encoded straight from the sweep's rows, not from a dict per row, into
+the bytes the C encoder gives those dicts.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .bwgraph import (
 )
 from .errors import GameError
 from .meta import (
+    InstanceStats,
     SweepReport,
     build_metagraph,
     metagraph_to_dot,
@@ -69,6 +72,10 @@ def load_graph(source: str) -> BWGraph:
 _encode = json.JSONEncoder(sort_keys=True).encode  # no indent: the C encoder
 
 
+class _Encoded(tuple):
+    """Records already encoded as _encode encodes them, written as they are."""
+
+
 def _write_json(fh, value, pad: str) -> None:
     """value as JSON in the module docstring's layout; pad is the
     indentation of the line holding its opening bracket."""
@@ -80,10 +87,12 @@ def _write_json(fh, value, pad: str) -> None:
             _write_json(fh, value[key], inner)
             sep = ",\n"
         fh.write(f"\n{pad}}}")
-    elif isinstance(value, list) and value and all(isinstance(x, dict) for x in value):
+    elif (isinstance(value, _Encoded) and value
+          or isinstance(value, list) and value and all(isinstance(x, dict) for x in value)):
         sep = "[\n"
-        for record in value:  # written as encoded, never joined into one string
-            fh.write(f"{sep}{inner}{_encode(record)}")
+        records = value if isinstance(value, _Encoded) else map(_encode, value)
+        for record in records:  # written as encoded, never joined into one string
+            fh.write(f"{sep}{inner}{record}")
             sep = ",\n"
         fh.write(f"\n{pad}]")
     else:
@@ -114,12 +123,24 @@ def _pathset_payload(ps: PathSet) -> dict:
 
 def _sweep_payload(r: SweepReport) -> dict:
     edge_lists: dict[tuple[int, ...], list] = {}  # rows of one edge set share its list
+    edge_json: dict[tuple[int, ...], str] = {}  # ... and its encoded list
 
     def graph(g: BWGraph) -> dict:
         edges = edge_lists.get(g.adj)
         if edges is None:
             edges = edge_lists[g.adj] = g.edges()
         return _graph_payload(g, edges)
+
+    def row(s: InstanceStats) -> str:
+        # as _encode encodes {"graph": graph(g), "path_count": ..., "connected":
+        # ..., "min_threshold": ...}, keys sorted, with no dict built
+        g = s.graph
+        edges = edge_json.get(g.adj)
+        if edges is None:
+            edges = edge_json[g.adj] = _encode(g.edges())
+        return (f'{{"connected": {"true" if s.min_threshold <= r.threshold else "false"}, '
+                f'"graph": {{"colors": "{g.color_string()}", "edges": {edges}, "n": {g.n}}}, '
+                f'"min_threshold": {s.min_threshold}, "path_count": {s.path_count}}}')
 
     return {
         "family": r.family,
@@ -138,15 +159,7 @@ def _sweep_payload(r: SweepReport) -> dict:
             {"graph": graph(g), "paths_found": count}
             for g, count in r.incomplete
         ],
-        "stats": [
-            {
-                "graph": graph(s.graph),
-                "path_count": s.path_count,
-                "connected": s.min_threshold <= r.threshold,
-                "min_threshold": s.min_threshold,
-            }
-            for s in r.stats
-        ],
+        "stats": _Encoded(map(row, r.stats)),
     }
 
 

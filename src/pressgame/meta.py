@@ -258,7 +258,11 @@ def verify_linear_family(
 def verify_general_family(
     n_max: int, threshold: int = 4, cap: int = DEFAULT_CAP
 ) -> SweepReport:
-    """Connectivity over all labeled graphs (every topology and coloring)."""
+    """Connectivity over all labeled graphs (every topology and coloring).
+    n_max above 6 is rejected before any graph is built: n = 7 alone has
+    2^21 edge sets x 128 colourings, about 2.7e8 members, which no cap bounds."""
+    if n_max > 6:
+        raise ValueError("n_max must be at most 6: n = 7 has 2^21 edge sets x 128 colourings")
     return _sweep("all labeled graphs", _edge_sets, n_max, threshold, cap)
 
 

@@ -24,6 +24,7 @@ from pressgame.bwgraph import (
     is_solvable,
     press,
 )
+from pressgame.cli import _graph_payload, _sweep_payload
 from pressgame.errors import (
     CapExceededError,
     EmptyPathSetError,
@@ -596,10 +597,28 @@ def chain_visits(g: BWGraph, path, seed: int, steps: int):
 
 # ---------------------------------------------------------------------------
 # The --report writer that one record per line replaced: the whole document
-# indented through json's pure-Python encoder.
+# indented through json's pure-Python encoder; and the sweep payload whose
+# stats rows are dicts, which cli encodes without building.
 
 def indented_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def sweep_payload(r: SweepReport) -> dict:
+    """The sweep payload with every stats row a dict, for the writer to
+    encode like any other record; cli encodes the rows from the stats."""
+    return {
+        **_sweep_payload(r),
+        "stats": [
+            {
+                "graph": _graph_payload(s.graph),
+                "path_count": s.path_count,
+                "connected": s.min_threshold <= r.threshold,
+                "min_threshold": s.min_threshold,
+            }
+            for s in r.stats
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------

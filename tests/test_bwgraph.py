@@ -161,6 +161,14 @@ def test_linear_graph_shapes():
     assert linear_graph("").n == 0
 
 
+def test_color_string_reads_each_vertex():
+    # every colour mask with 0 <= n <= 8; n = 0 gives ""
+    for n in range(9):
+        for colors in range(1 << n):
+            g = BWGraph(n, colors, (0,) * n)
+            assert g.color_string() == "".join("B" if g.is_black(v) else "W" for v in range(n))
+
+
 def test_press_agrees_with_naive_definition_everywhere():
     # every graph with up to 4 vertices, every black vertex
     for g in all_graphs_upto(4):

@@ -4,9 +4,11 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -15,11 +17,12 @@ import pressgame
 from pressgame.bwgraph import format_graph, linear_graph
 from pressgame.cli import _sweep_payload, load_graph, main, write_report
 from pressgame.errors import CapExceededError, GraphParseError, SelfLoopError
+from pressgame.meta import verify_general_family
 from pressgame.permrev import SignedPermutation, build_dr, build_overlap, parse_signed_permutation
 from pressgame.sampler import run_chain
 
 from gen import all_graphs_upto, random_signed_permutation
-from oracles import indented_report, interval_overlap
+from oracles import indented_report, interval_overlap, sweep_payload
 
 
 def run(capsys, *argv):
@@ -293,18 +296,27 @@ def test_sweep_report_verdict_field(capsys, tmp_path):
 
 def written_report(capsys, tmp_path, monkeypatch, argv):
     """(exit code, the dict main handed write_report, the report file's
-    text); "witness" in argv names the n = 6 graph N6_WITNESS."""
+    text); a sweep's payload in that dict is rebuilt by the oracle
+    sweep_payload, with dict rows.  "witness" in argv names the n = 6 graph
+    N6_WITNESS."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "witness").write_text(N6_WITNESS)
-    handed = []
+    handed, sweeps = [], []
 
     def capture(report, path):
         handed.append(report)
         write_report(report, path)
 
+    def capture_sweep(r):
+        sweeps.append(r)
+        return _sweep_payload(r)
+
     monkeypatch.setattr("pressgame.cli.write_report", capture)
+    monkeypatch.setattr("pressgame.cli._sweep_payload", capture_sweep)
     code = run(capsys, *argv, "--report", "r.json")[0]
     (report,) = handed
+    if sweeps:
+        report = {**report, "payload": sweep_payload(*sweeps)}
     return code, report, (tmp_path / "r.json").read_text()
 
 
@@ -356,6 +368,31 @@ def test_report_writes_one_record_per_line(capsys, tmp_path, monkeypatch, argv):
     again = tmp_path / "again.json"
     write_report(doc, str(again))
     assert again.read_bytes() == (tmp_path / "r.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-general", "--n-max", "5"),
+        ("verify-linear", "--n-max", "8"),
+        ("verify-linear", "--n-max", "5", "--threshold", "1"),
+        ("verify-general", "--n-max", "2", "--cap", "1"),
+    ],
+    ids=["general-5", "linear-8", "linear-fail", "general-capped"],
+)
+def test_sweep_rows_are_the_bytes_of_the_dict_rows(capsys, tmp_path, monkeypatch, argv):
+    # stats rows encoded from the stats, with no dict, against the oracle's
+    # dict rows through the writer's encoder: passes, a failure with
+    # "connected": false rows, and capped rows
+    _, report, text = written_report(capsys, tmp_path, monkeypatch, argv)
+    assert report["payload"]["stats"]
+    write_report(report, "dicts.json")
+    dicts = (tmp_path / "dicts.json").read_text()
+    # shows the first differing line, not a diff of two files of up to 5 MB
+    first = next(((a, b) for a, b in zip_longest(text.splitlines(), dicts.splitlines())
+                  if a != b), None)
+    assert first is None
+    assert text == dicts
 
 
 def test_wall_time_excludes_the_report(capsys, tmp_path, monkeypatch):
@@ -479,6 +516,24 @@ def test_payloads_are_built_only_under_report(capsys, tmp_path, monkeypatch):
         assert out[0] == 0 and run(capsys, *argv) == out, argv[0]
     with pytest.raises(AssertionError, match="payload built"):  # the patch took effect
         main([*argvs[0], "--report", str(tmp_path / "r.json")])
+
+
+def test_verify_general_past_n6_exits_2_before_any_graph(capsys, monkeypatch):
+    # n = 7 alone has 2^21 edge sets x 128 colourings, which no cap bounds
+    def unreachable(*args):
+        raise AssertionError("sweep started")
+
+    monkeypatch.setattr("pressgame.meta._sweep", unreachable)
+    monkeypatch.setattr("pressgame.meta._edge_sets", unreachable)
+    message = "n_max must be at most 6: n = 7 has 2^21 edge sets x 128 colourings"
+    for n_max in ("7", "8", "1000"):
+        start = time.perf_counter()
+        assert run(capsys, "verify-general", "--n-max", n_max) == (2, "", f"error: {message}\n")
+        assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_general_family(7)
+    with pytest.raises(AssertionError, match="sweep started"):  # the patch took effect
+        verify_general_family(6)
 
 
 def test_negative_threshold_is_rejected_before_enumeration(capsys):
