@@ -13,9 +13,10 @@ from that stability guarantee.  Each dict outside a list is written one
 key per line, indented two spaces per level; a list of records (dicts),
 such as a sweep's stats rows, failures and incomplete graphs, is written
 one compact record per line, and every other value compactly on its key's
-line, so one changed instance is one changed line.  A sweep's stats rows
-are encoded straight from the sweep's rows, not from a dict per row, into
-the bytes the C encoder gives those dicts.
+line, so one changed instance is one changed line.  Every record list of
+a sweep report (stats, failures, incomplete) is encoded straight from the
+sweep's rows into the bytes the C encoder gives their dicts, with one
+encoded edge list per edge set.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .bwgraph import (
 )
 from .errors import GameError
 from .meta import (
-    InstanceStats,
     SweepReport,
     build_metagraph,
     metagraph_to_dot,
@@ -105,12 +105,8 @@ def write_report(report: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _graph_payload(g: BWGraph, edges: list | None = None) -> dict:
-    return {
-        "n": g.n,
-        "colors": g.color_string(),
-        "edges": g.edges() if edges is None else edges,
-    }
+def _graph_payload(g: BWGraph) -> dict:
+    return {"n": g.n, "colors": g.color_string(), "edges": g.edges()}
 
 
 def _pathset_payload(ps: PathSet) -> dict:
@@ -122,44 +118,35 @@ def _pathset_payload(ps: PathSet) -> dict:
 
 
 def _sweep_payload(r: SweepReport) -> dict:
-    edge_lists: dict[tuple[int, ...], list] = {}  # rows of one edge set share its list
-    edge_json: dict[tuple[int, ...], str] = {}  # ... and its encoded list
+    # every record is encoded as _encode encodes its dict, keys sorted, with
+    # no dict built; rows of one edge set share its encoded edge list
+    edge_json: dict[tuple[int, ...], str] = {}
 
-    def graph(g: BWGraph) -> dict:
-        edges = edge_lists.get(g.adj)
-        if edges is None:
-            edges = edge_lists[g.adj] = g.edges()
-        return _graph_payload(g, edges)
-
-    def row(s: InstanceStats) -> str:
-        # as _encode encodes {"graph": graph(g), "path_count": ..., "connected":
-        # ..., "min_threshold": ...}, keys sorted, with no dict built
-        g = s.graph
+    def graph(g: BWGraph) -> str:  # _encode(_graph_payload(g))
         edges = edge_json.get(g.adj)
         if edges is None:
             edges = edge_json[g.adj] = _encode(g.edges())
-        return (f'{{"connected": {"true" if s.min_threshold <= r.threshold else "false"}, '
-                f'"graph": {{"colors": "{g.color_string()}", "edges": {edges}, "n": {g.n}}}, '
-                f'"min_threshold": {s.min_threshold}, "path_count": {s.path_count}}}')
+        return f'{{"colors": "{g.color_string()}", "edges": {edges}, "n": {g.n}}}'
 
     return {
         "family": r.family,
         "threshold": r.threshold,
         "verdict": r.verdict,
         "instances_checked": r.instances_checked,
-        "failures": [
-            {
-                "graph": graph(f.path_set.graph),
-                "paths": [format_path(p) for p in f.path_set.paths],
-                "components": f.components,
-            }
+        "failures": _Encoded(
+            f'{{"components": {_encode(f.components)}, "graph": {graph(f.path_set.graph)}, '
+            f'"paths": {_encode([format_path(p) for p in f.path_set.paths])}}}'
             for f in r.failures
-        ],
-        "incomplete": [
-            {"graph": graph(g), "paths_found": count}
-            for g, count in r.incomplete
-        ],
-        "stats": _Encoded(map(row, r.stats)),
+        ),
+        "incomplete": _Encoded(
+            f'{{"graph": {graph(g)}, "paths_found": {count}}}' for g, count in r.incomplete
+        ),
+        "stats": _Encoded(
+            f'{{"connected": {"true" if s.min_threshold <= r.threshold else "false"}, '
+            f'"graph": {graph(s.graph)}, "min_threshold": {s.min_threshold}, '
+            f'"path_count": {s.path_count}}}'
+            for s in r.stats
+        ),
     }
 
 

@@ -251,7 +251,13 @@ def _path(n: int):
 def verify_linear_family(
     n_max: int, threshold: int = 2, cap: int = DEFAULT_CAP
 ) -> SweepReport:
-    """Connectivity of every solvable linear graph's metagraph up to n_max."""
+    """Connectivity of every solvable linear graph's metagraph up to n_max.
+    n_max above 11 is rejected before any graph is built: n = 12 has linear
+    graphs of up to 1,760,000 successful paths, so under the default cap it
+    could only end incomplete, after the minutes that n <= 11 takes."""
+    if n_max > 11:
+        raise ValueError("n_max must be at most 11: n = 12 has linear graphs "
+                         "of up to 1,760,000 successful paths")
     return _sweep("linear graphs", _path, n_max, threshold, cap)
 
 

@@ -24,7 +24,6 @@ from pressgame.bwgraph import (
     is_solvable,
     press,
 )
-from pressgame.cli import _graph_payload, _sweep_payload
 from pressgame.errors import (
     CapExceededError,
     EmptyPathSetError,
@@ -597,21 +596,37 @@ def chain_visits(g: BWGraph, path, seed: int, steps: int):
 
 # ---------------------------------------------------------------------------
 # The --report writer that one record per line replaced: the whole document
-# indented through json's pure-Python encoder; and the sweep payload whose
-# stats rows are dicts, which cli encodes without building.
+# indented through json's pure-Python encoder; and the sweep payload with a
+# dict per record, which cli encodes without building.
 
 def indented_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def sweep_payload(r: SweepReport) -> dict:
-    """The sweep payload with every stats row a dict, for the writer to
-    encode like any other record; cli encodes the rows from the stats."""
+    """The sweep payload read off the report alone, every record a dict, for
+    the writer to encode like any other record."""
+
+    def graph(g: BWGraph) -> dict:
+        return {"n": g.n, "colors": g.color_string(), "edges": g.edges()}
+
     return {
-        **_sweep_payload(r),
+        "family": r.family,
+        "threshold": r.threshold,
+        "verdict": "FAIL" if r.failures else "INCOMPLETE" if r.incomplete else "PASS",
+        "instances_checked": len(r.stats),
+        "failures": [
+            {
+                "graph": graph(f.path_set.graph),
+                "paths": [" ".join(map(str, p)) for p in f.path_set.paths],
+                "components": [list(c) for c in f.components],
+            }
+            for f in r.failures
+        ],
+        "incomplete": [{"graph": graph(g), "paths_found": count} for g, count in r.incomplete],
         "stats": [
             {
-                "graph": _graph_payload(s.graph),
+                "graph": graph(s.graph),
                 "path_count": s.path_count,
                 "connected": s.min_threshold <= r.threshold,
                 "min_threshold": s.min_threshold,

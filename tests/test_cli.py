@@ -17,7 +17,7 @@ import pressgame
 from pressgame.bwgraph import format_graph, linear_graph
 from pressgame.cli import _sweep_payload, load_graph, main, write_report
 from pressgame.errors import CapExceededError, GraphParseError, SelfLoopError
-from pressgame.meta import verify_general_family
+from pressgame.meta import verify_general_family, verify_linear_family
 from pressgame.permrev import SignedPermutation, build_dr, build_overlap, parse_signed_permutation
 from pressgame.sampler import run_chain
 
@@ -377,13 +377,15 @@ def test_report_writes_one_record_per_line(capsys, tmp_path, monkeypatch, argv):
         ("verify-linear", "--n-max", "8"),
         ("verify-linear", "--n-max", "5", "--threshold", "1"),
         ("verify-general", "--n-max", "2", "--cap", "1"),
+        ("verify-general", "--n-max", "4", "--cap", "1"),
     ],
-    ids=["general-5", "linear-8", "linear-fail", "general-capped"],
+    ids=["general-5", "linear-8", "linear-fail", "general-capped", "general-capped-shared"],
 )
 def test_sweep_rows_are_the_bytes_of_the_dict_rows(capsys, tmp_path, monkeypatch, argv):
-    # stats rows encoded from the stats, with no dict, against the oracle's
-    # dict rows through the writer's encoder: passes, a failure with
-    # "connected": false rows, and capped rows
+    # every record of a sweep's lists encoded from the sweep's rows, with no
+    # dict, against the oracle's dict records through the writer's encoder:
+    # passes, a failure with "connected": false rows, and capped rows, some
+    # sharing their edge sets with stats rows
     _, report, text = written_report(capsys, tmp_path, monkeypatch, argv)
     assert report["payload"]["stats"]
     write_report(report, "dicts.json")
@@ -534,6 +536,26 @@ def test_verify_general_past_n6_exits_2_before_any_graph(capsys, monkeypatch):
         verify_general_family(7)
     with pytest.raises(AssertionError, match="sweep started"):  # the patch took effect
         verify_general_family(6)
+
+
+def test_verify_linear_past_n11_exits_2_before_any_graph(capsys, monkeypatch):
+    # n = 12 has linear graphs of up to 1,760,000 successful paths, past the
+    # cap that verify-linear cannot raise
+    def unreachable(*args):
+        raise AssertionError("sweep started")
+
+    monkeypatch.setattr("pressgame.meta._sweep", unreachable)
+    monkeypatch.setattr("pressgame.meta._path", unreachable)
+    message = ("n_max must be at most 11: n = 12 has linear graphs "
+               "of up to 1,760,000 successful paths")
+    for n_max in ("12", "13", "1000"):
+        start = time.perf_counter()
+        assert run(capsys, "verify-linear", "--n-max", n_max) == (2, "", f"error: {message}\n")
+        assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_linear_family(12)
+    with pytest.raises(AssertionError, match="sweep started"):  # the patch took effect
+        verify_linear_family(11)
 
 
 def test_negative_threshold_is_rejected_before_enumeration(capsys):
