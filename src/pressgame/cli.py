@@ -4,19 +4,18 @@ Eight subcommands, one per capability: press, overlap, distance,
 enumerate, metagraph, verify-linear, verify-general, sample.  Exit codes:
 0 success or property verified, 1 property violated or counterexample
 found, 2 input or usage error, a --report file that cannot be written, or
-a sweep left incomplete by the enumeration cap (which verifies nothing).
+a graph past the enumeration cap (no sweep reaches it within its n bound).
 
 Reports are built only under --report, as JSON with sorted keys so that
 reruns of a deterministic command diff cleanly; wall_time, the command's own
 time without building or writing the report, is the one field excluded
 from that stability guarantee.  Each dict outside a list is written one
 key per line, indented two spaces per level; a list of records (dicts),
-such as a sweep's stats rows, failures and incomplete graphs, is written
-one compact record per line, and every other value compactly on its key's
-line, so one changed instance is one changed line.  Every record list of
-a sweep report (stats, failures, incomplete) is encoded straight from the
-sweep's rows into the bytes the C encoder gives their dicts, with one
-encoded edge list per edge set.
+such as a sweep's stats rows and failures, is written one compact record
+per line, and every other value compactly on its key's line, so one
+changed instance is one changed line.  Every record list of a sweep report
+(stats, failures) is encoded straight from the sweep's rows into the bytes
+the C encoder gives their dicts, with one encoded edge list per edge set.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from .permrev import (
 )
 from .sampler import ChainReport, run_chain
 
-_VERDICT_EXIT = {"PASS": 0, "FAIL": 1, "INCOMPLETE": 2}
+_VERDICT_EXIT = {"PASS": 0, "FAIL": 1}
 Outcome = tuple[int, Callable[[], dict], str]  # exit code, --report payload builder, input
 
 
@@ -138,9 +137,7 @@ def _sweep_payload(r: SweepReport) -> dict:
             f'"paths": {_encode([format_path(p) for p in f.path_set.paths])}}}'
             for f in r.failures
         ),
-        "incomplete": _Encoded(
-            f'{{"graph": {graph(g)}, "paths_found": {count}}}' for g, count in r.incomplete
-        ),
+        "incomplete": [],  # no sweep is capped; kept so reports parse as before
         "stats": _Encoded(
             f'{{"connected": {"true" if s.min_threshold <= r.threshold else "false"}, '
             f'"graph": {graph(s.graph)}, "min_threshold": {s.min_threshold}, '
@@ -171,11 +168,6 @@ def _print_sweep(r: SweepReport) -> None:
         g = f.path_set.graph
         print(f"counterexample: colors {g.color_string()}, edges {g.edges()}")
         print(f"  metagraph components: {[list(c) for c in f.components]}")
-    for g, count in r.incomplete:
-        print(
-            f"capped: colors {g.color_string()}, edges {g.edges()} "
-            f"({count} paths found before the cap)"
-        )
 
 
 def cmd_press(args) -> Outcome:
@@ -235,7 +227,7 @@ def cmd_metagraph(args) -> Outcome:
 
 
 def cmd_verify(args) -> Outcome:
-    r = args.sweep(args.n_max, args.threshold, args.cap)
+    r = args.sweep(args.n_max, args.threshold)
     _print_sweep(r)
     return _VERDICT_EXIT[r.verdict], partial(_sweep_payload, r), r.family
 
@@ -301,14 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--threshold", type=int, default=2)
-    p.set_defaults(handler=cmd_verify, sweep=verify_linear_family, cap=DEFAULT_CAP)
+    p.set_defaults(handler=cmd_verify, sweep=verify_linear_family)
 
     p = add_parser(
         "verify-general", help="metagraph connectivity over all labeled graphs"
     )
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--threshold", type=int, default=4)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(handler=cmd_verify, sweep=verify_general_family)
 
     p = add_parser("sample", help="MH chain over the successful paths")

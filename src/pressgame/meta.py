@@ -11,8 +11,8 @@ edge list (labeled graphs: ascending edge mask over combinations(range(n),
 Within each n a sweep verifies one instance per coloured isomorphism class
 and gives the other members its result.  That is exact: a relabelling maps
 the successful paths one to one and keeps every LCS, so path count,
-min_threshold, solvability and the cap verdict are class invariants.  Class
-keys come from the S_n orbits of edge masks, or from the path's reversal.
+min_threshold and solvability are class invariants.  Class keys come from
+the S_n orbits of edge masks, or from the path's reversal.
 
 Edges are decided without comparing pairs.  Two paths of common length L
 have an LCS of at least L - k exactly when they share a subsequence of
@@ -31,8 +31,8 @@ from itertools import combinations, permutations
 from operator import itemgetter
 
 from .bwgraph import BWGraph, _unchecked
-from .errors import CapExceededError, EmptyPathSetError, UnsolvableError
-from .paths import DEFAULT_CAP, PathSet, PressingPath, enumerate_successful, format_path
+from .errors import EmptyPathSetError, UnsolvableError
+from .paths import PathSet, PressingPath, enumerate_successful, format_path
 
 
 def _check_gate(ps: PathSet, k: int) -> None:
@@ -133,7 +133,6 @@ class SweepReport:
     threshold: int
     stats: tuple[InstanceStats, ...]
     failures: tuple[SweepFailure, ...]
-    incomplete: tuple[tuple[BWGraph, int], ...]
 
     @property
     def instances_checked(self) -> int:
@@ -141,15 +140,11 @@ class SweepReport:
 
     @property
     def verdict(self) -> str:
-        if self.failures:
-            return "FAIL"
-        if self.incomplete:
-            return "INCOMPLETE"
-        return "PASS"
+        return "FAIL" if self.failures else "PASS"
 
 
 def verify_instance(
-    g: BWGraph, k: int, cap: int = DEFAULT_CAP
+    g: BWGraph, k: int
 ) -> tuple[InstanceStats, PathSet, tuple[tuple[int, ...], ...]]:
     """Enumerate one solvable graph and gate its metagraph at threshold k.
 
@@ -159,13 +154,13 @@ def verify_instance(
     """
     if k < 0:
         raise ValueError("threshold must be non-negative")
-    ps = enumerate_successful(g, cap)
+    ps = enumerate_successful(g)
     min_k, components = connectivity(ps, k)
     stats = InstanceStats(graph=g, path_count=len(ps.paths), min_threshold=min_k)
     return stats, ps, components
 
 
-def _sweep(label: str, topologies, n_max: int, threshold: int, cap: int) -> SweepReport:
+def _sweep(label: str, topologies, n_max: int, threshold: int) -> SweepReport:
     """Gate every solvable graph on 1..n_max vertices whose edge list is in
     topologies(n): by n, then edge list in order, then colour mask ascending
     (bit v set means vertex v is black).  verify_instance rejects k < 0.
@@ -173,41 +168,37 @@ def _sweep(label: str, topologies, n_max: int, threshold: int, cap: int) -> Swee
     c, shared only by isomorphic coloured graphs.  Colourings share their
     edge set's from_parts rows and are built as from_parts builds them.
     Each class is verified once per n (exact, see the module docstring), and
-    a failing member again, so that its witness is in its own labels."""
+    a failing member again, so that its witness is in its own labels.  No
+    cap is caught: the callers' n bounds keep every instance under the
+    default cap, and a CapExceededError would end the sweep, loudly."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     stats: list[InstanceStats] = []
     failures: list[SweepFailure] = []
-    incomplete: list[tuple[BWGraph, int]] = []
     for n in range(1, n_max + 1):
-        seen: dict = {}  # class key -> its row, its cap count, or False (unsolvable)
+        seen: dict = {}  # class key -> its row, or False (unsolvable)
         for edges, classes in topologies(n):
             adj = BWGraph.from_parts("W" * n, edges).adj
             for colors, key in enumerate(classes):
                 g = _unchecked(n, colors, adj)
                 hit = seen.get(key)
-                if hit is None or isinstance(hit, InstanceStats) and hit.min_threshold > threshold:
+                if hit is None or hit and hit.min_threshold > threshold:
                     try:
-                        hit, ps, components = verify_instance(g, threshold, cap)
+                        hit, ps, components = verify_instance(g, threshold)
                     except UnsolvableError:
                         hit = False
-                    except CapExceededError as exc:
-                        hit = exc.count_so_far
                     seen[key] = hit
-                elif isinstance(hit, InstanceStats):
+                elif hit:
                     hit = InstanceStats(g, hit.path_count, hit.min_threshold)
-                if isinstance(hit, InstanceStats):
+                if hit:
                     stats.append(hit)
                     if hit.min_threshold > threshold:  # verified just now
                         failures.append(SweepFailure(ps, components))
-                elif hit:
-                    incomplete.append((g, hit))
     return SweepReport(
         family=f"{label}, n <= {n_max}",
         threshold=threshold,
         stats=tuple(stats),
         failures=tuple(failures),
-        incomplete=tuple(incomplete),
     )
 
 
@@ -248,28 +239,26 @@ def _path(n: int):
     yield [(i, i + 1) for i in range(n - 1)], [min(c, r) for c, r in enumerate(flips)]
 
 
-def verify_linear_family(
-    n_max: int, threshold: int = 2, cap: int = DEFAULT_CAP
-) -> SweepReport:
+def verify_linear_family(n_max: int, threshold: int = 2) -> SweepReport:
     """Connectivity of every solvable linear graph's metagraph up to n_max.
     n_max above 11 is rejected before any graph is built: n = 12 has linear
-    graphs of up to 1,760,000 successful paths, so under the default cap it
-    could only end incomplete, after the minutes that n <= 11 takes."""
+    graphs of up to 1,760,000 successful paths, which would pass the
+    enumeration cap, after the minutes that n <= 11 takes."""
     if n_max > 11:
         raise ValueError("n_max must be at most 11: n = 12 has linear graphs "
                          "of up to 1,760,000 successful paths")
-    return _sweep("linear graphs", _path, n_max, threshold, cap)
+    return _sweep("linear graphs", _path, n_max, threshold)
 
 
-def verify_general_family(
-    n_max: int, threshold: int = 4, cap: int = DEFAULT_CAP
-) -> SweepReport:
+def verify_general_family(n_max: int, threshold: int = 4) -> SweepReport:
     """Connectivity over all labeled graphs (every topology and coloring).
     n_max above 6 is rejected before any graph is built: n = 7 alone has
-    2^21 edge sets x 128 colourings, about 2.7e8 members, which no cap bounds."""
+    2^21 edge sets x 128 colourings, about 2.7e8 members, which no cap bounds.
+    Up to n = 6 a path presses each vertex at most once, so no graph has
+    more than 6! = 720 paths, far under the enumeration cap."""
     if n_max > 6:
         raise ValueError("n_max must be at most 6: n = 7 has 2^21 edge sets x 128 colourings")
-    return _sweep("all labeled graphs", _edge_sets, n_max, threshold, cap)
+    return _sweep("all labeled graphs", _edge_sets, n_max, threshold)
 
 
 def metagraph_to_dot(ps: PathSet, edges: tuple[tuple[int, int], ...]) -> str:

@@ -144,19 +144,16 @@ def dfs_enumerate(g: BWGraph, cap: int) -> PathSet:
 # The sweep one instance at a time (the package verifies each coloured
 # isomorphism class once per n), and brute-force canonical forms.
 
-def instance_sweep(label, edge_lists, n_max, threshold, cap):
+def instance_sweep(label, edge_lists, n_max, threshold):
     """The sweep report by verify_instance on every instance with 1..n_max
     vertices whose edge list is in edge_lists(n), in sweep order."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    stats, failures, incomplete = [], [], []
+    stats, failures = [], []
     for g in all_graphs_upto(n_max, edge_lists):
         try:
-            row, ps, components = verify_instance(g, threshold, cap)
+            row, ps, components = verify_instance(g, threshold)
         except UnsolvableError:
-            continue
-        except CapExceededError as exc:
-            incomplete.append((g, exc.count_so_far))
             continue
         stats.append(row)
         if row.min_threshold > threshold:
@@ -166,7 +163,6 @@ def instance_sweep(label, edge_lists, n_max, threshold, cap):
         threshold=threshold,
         stats=tuple(stats),
         failures=tuple(failures),
-        incomplete=tuple(incomplete),
     )
 
 
@@ -613,7 +609,7 @@ def sweep_payload(r: SweepReport) -> dict:
     return {
         "family": r.family,
         "threshold": r.threshold,
-        "verdict": "FAIL" if r.failures else "INCOMPLETE" if r.incomplete else "PASS",
+        "verdict": "FAIL" if r.failures else "PASS",
         "instances_checked": len(r.stats),
         "failures": [
             {
@@ -623,7 +619,7 @@ def sweep_payload(r: SweepReport) -> dict:
             }
             for f in r.failures
         ],
-        "incomplete": [{"graph": graph(g), "paths_found": count} for g, count in r.incomplete],
+        "incomplete": [],
         "stats": [
             {
                 "graph": graph(s.graph),

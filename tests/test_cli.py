@@ -18,6 +18,7 @@ from pressgame.bwgraph import format_graph, linear_graph
 from pressgame.cli import _sweep_payload, load_graph, main, write_report
 from pressgame.errors import CapExceededError, GraphParseError, SelfLoopError
 from pressgame.meta import verify_general_family, verify_linear_family
+from pressgame.paths import DEFAULT_CAP
 from pressgame.permrev import SignedPermutation, build_dr, build_overlap, parse_signed_permutation
 from pressgame.sampler import run_chain
 
@@ -194,14 +195,14 @@ def test_usage_errors_exit_2(capsys):
         )
     for argv, message in (
         (("enumerate", "linear:BWB", "--cap", "0"), "cap must be at least 1"),
-        (("verify-general", "--n-max", "2", "--cap", "-1"), "cap must be at least 1"),
         (("verify-linear", "--n-max", "0"), "n_max must be at least 1"),
         (("verify-general", "--n-max", "0"), "n_max must be at least 1"),
     ):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
-    # verify-linear has no --cap option: it sweeps at the default cap
-    code, out, err = run(capsys, "verify-linear", "--n-max", "2", "--cap", "1")
-    assert (code, out) == (2, "") and "unrecognized arguments: --cap 1" in err
+    # the sweeps have no --cap option: their n bounds keep them under the default cap
+    for command in ("verify-linear", "verify-general"):
+        code, out, err = run(capsys, command, "--n-max", "2", "--cap", "1")
+        assert (code, out) == (2, "") and "unrecognized arguments: --cap 1" in err, command
 
 
 def test_help_and_version_exit_0(capsys):
@@ -330,11 +331,11 @@ def written_report(capsys, tmp_path, monkeypatch, argv):
         ("metagraph", "linear:BWBB", "--threshold", "2"),
         ("metagraph", "witness", "--threshold", "3"),
         ("verify-linear", "--n-max", "5", "--threshold", "1"),
-        ("verify-general", "--n-max", "2", "--cap", "1"),
+        ("verify-general", "--n-max", "4", "--threshold", "1"),
         ("sample", "linear:BWBB", "--steps", "2000", "--seed", "7"),
     ],
     ids=["press", "overlap", "distance", "enumerate", "metagraph", "metagraph-witness",
-         "verify-linear-fail", "verify-general-capped", "sample"],
+         "verify-linear-fail", "verify-general-fail", "sample"],
 )
 def test_report_parses_as_the_indented_writer(capsys, tmp_path, monkeypatch, argv):
     # the one-record-per-line layout changes the bytes, not the document
@@ -346,9 +347,9 @@ def test_report_parses_as_the_indented_writer(capsys, tmp_path, monkeypatch, arg
     "argv",
     [
         ("verify-linear", "--n-max", "5", "--threshold", "1"),
-        ("verify-general", "--n-max", "2", "--cap", "1"),
+        ("verify-general", "--n-max", "4", "--threshold", "1"),
     ],
-    ids=["stats-failures", "stats-incomplete"],
+    ids=["stats-failures", "general-fail"],
 )
 def test_report_writes_one_record_per_line(capsys, tmp_path, monkeypatch, argv):
     # each record of a sweep's lists is one line that parses on its own, and
@@ -376,16 +377,15 @@ def test_report_writes_one_record_per_line(capsys, tmp_path, monkeypatch, argv):
         ("verify-general", "--n-max", "5"),
         ("verify-linear", "--n-max", "8"),
         ("verify-linear", "--n-max", "5", "--threshold", "1"),
-        ("verify-general", "--n-max", "2", "--cap", "1"),
-        ("verify-general", "--n-max", "4", "--cap", "1"),
+        ("verify-general", "--n-max", "4", "--threshold", "1"),
     ],
-    ids=["general-5", "linear-8", "linear-fail", "general-capped", "general-capped-shared"],
+    ids=["general-5", "linear-8", "linear-fail", "general-fail-shared"],
 )
 def test_sweep_rows_are_the_bytes_of_the_dict_rows(capsys, tmp_path, monkeypatch, argv):
     # every record of a sweep's lists encoded from the sweep's rows, with no
     # dict, against the oracle's dict records through the writer's encoder:
-    # passes, a failure with "connected": false rows, and capped rows, some
-    # sharing their edge sets with stats rows
+    # passes, and failures with "connected": false rows, those of
+    # verify-general sharing their edge sets with stats rows
     _, report, text = written_report(capsys, tmp_path, monkeypatch, argv)
     assert report["payload"]["stats"]
     write_report(report, "dicts.json")
@@ -457,19 +457,20 @@ def test_graph_payload_is_pinned(capsys, tmp_path, monkeypatch, argv, code, dige
     assert payload_digest(payload) == digest
 
 
-def test_verify_general_cap_marks_incomplete(capsys, tmp_path):
-    r = tmp_path / "sweep.json"
-    code, out, _ = run(
-        capsys, "verify-general", "--n-max", "2", "--cap", "1",
-        "--report", str(r),
-    )
-    assert code == 2
-    assert out.startswith("INCOMPLETE")
-    doc = json.loads(r.read_text())
-    assert doc["payload"]["verdict"] == "INCOMPLETE"
-    incomplete = doc["payload"]["incomplete"]
-    assert incomplete
-    assert all(row["paths_found"] == 2 for row in incomplete)  # cap + 1
+def test_sweep_past_the_cap_is_an_input_error(capsys, tmp_path, monkeypatch):
+    # the n bounds keep every sweep instance under the cap, so a sweep catches
+    # no CapExceededError: were one raised, the sweep would stop with exit 2,
+    # one error line and no report, never a truncated verdict
+    def over_cap(g):
+        raise CapExceededError(DEFAULT_CAP + 1)
+
+    monkeypatch.setattr("pressgame.meta.enumerate_successful", over_cap)
+    r = tmp_path / "r.json"
+    for command in ("verify-general", "verify-linear"):
+        assert run(capsys, command, "--n-max", "2", "--report", str(r)) == (
+            2, "", "error: more than 1000000 successful paths\n"
+        ), command
+        assert not r.exists(), command
 
 
 def test_real_graph_over_the_default_cap(capsys, tmp_path):
@@ -540,7 +541,7 @@ def test_verify_general_past_n6_exits_2_before_any_graph(capsys, monkeypatch):
 
 def test_verify_linear_past_n11_exits_2_before_any_graph(capsys, monkeypatch):
     # n = 12 has linear graphs of up to 1,760,000 successful paths, past the
-    # cap that verify-linear cannot raise
+    # enumeration cap
     def unreachable(*args):
         raise AssertionError("sweep started")
 

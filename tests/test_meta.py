@@ -1,8 +1,10 @@
 """LCS gate, metagraph connectivity, and the family sweeps."""
 
+import math
+
 import pytest
 
-from pressgame import meta
+from pressgame import meta, paths
 from pressgame.bwgraph import BWGraph, is_solvable, linear_graph
 from pressgame.errors import EmptyPathSetError
 from pressgame.meta import (
@@ -220,7 +222,7 @@ def test_verify_linear_family_small():
 
     r = verify_linear_family(3)
     assert (r.verdict, r.instances_checked) == ("PASS", 12)
-    assert not r.failures and not r.incomplete
+    assert not r.failures
     # stronger form of the linear result: threshold 2 is never needed twice over
     assert all(row.min_threshold <= 2 for row in r.stats)
 
@@ -229,12 +231,23 @@ def test_verify_linear_family_is_deterministic():
     assert verify_linear_family(3) == verify_linear_family(3)
 
 
-def test_cap_marks_sweep_incomplete_not_failed():
-    r = verify_linear_family(2, cap=1)
-    assert r.verdict == "INCOMPLETE"
-    assert [g.color_string() for g, _ in r.incomplete] == ["BB"]
-    assert r.incomplete[0][1] == 2
-    assert r.instances_checked == 4 and not r.failures
+@pytest.mark.slow
+def test_the_n_bounds_keep_every_sweep_instance_under_the_cap():
+    # the sweeps catch no CapExceededError: their n bounds are their cap.
+    # A pressed vertex is left white and isolated, so a path presses each
+    # vertex at most once, and a graph on n <= 6 vertices has at most 6! paths
+    assert math.factorial(6) <= DEFAULT_CAP
+    # every solvable linear colouring up to n = 11, counted past the cap
+    most, worst = 0, None
+    for g in linear_family(11):
+        if is_solvable(g):
+            count = paths._count(g.colors, g.adj, 2 * DEFAULT_CAP, {})[0]
+            if count > most:
+                most, worst = count, g.color_string()
+    assert (most, worst) == (259_200, "B" * 11) and most <= DEFAULT_CAP
+    # the n = 12 colouring verify_linear_family's n bound names
+    g = linear_graph("BBBBBBBBBBWB")
+    assert paths._count(g.colors, g.adj, 2 * DEFAULT_CAP, {})[0] == 1_760_000
 
 
 def test_sweep_order_matches_the_color_string_families():
@@ -248,10 +261,6 @@ def test_sweep_order_matches_the_color_string_families():
     linear = [row.graph for row in verify_linear_family(7).stats]
     assert len(linear) == 248
     assert linear == solvable(linear_family(7))
-    capped = verify_linear_family(3, cap=1).incomplete
-    assert [g for g, _ in capped] == [
-        g for g in solvable(linear_family(3)) if len(enumerate_successful(g).paths) > 1
-    ]
 
 
 def test_verify_general_family_small():
@@ -275,20 +284,17 @@ def test_sweep_failures_are_the_rows_above_the_threshold():
 
 def test_class_sweep_matches_the_instance_sweep():
     # each coloured isomorphism class is verified once, and every member's
-    # row, failure witness and cap count must equal its own verification
-    cases = [(verify_general_family, "all labeled graphs", labeled_edge_lists, 4, k, DEFAULT_CAP)
+    # row and failure witness must equal its own verification
+    cases = [(verify_general_family, "all labeled graphs", labeled_edge_lists, 4, k)
              for k in range(5)]
-    cases += [(verify_linear_family, "linear graphs", linear_edge_lists, 8, k, DEFAULT_CAP)
+    cases += [(verify_linear_family, "linear graphs", linear_edge_lists, 8, k)
               for k in range(4)]
-    cases += [(verify_general_family, "all labeled graphs", labeled_edge_lists, 4, 4, 1),
-              (verify_linear_family, "linear graphs", linear_edge_lists, 8, 2, 1)]
-    failures = incomplete = 0
-    for sweep, label, edge_lists, n_max, k, cap in cases:
-        report = sweep(n_max, k, cap)
-        assert report == instance_sweep(label, edge_lists, n_max, k, cap)
+    failures = 0
+    for sweep, label, edge_lists, n_max, k in cases:
+        report = sweep(n_max, k)
+        assert report == instance_sweep(label, edge_lists, n_max, k)
         failures += len(report.failures)
-        incomplete += len(report.incomplete)
-    assert failures and incomplete  # both witness kinds were compared
+    assert failures  # failure witnesses were compared
 
 
 def _instances(topologies, n):
