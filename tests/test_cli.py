@@ -377,15 +377,17 @@ def test_report_writes_one_record_per_line(capsys, tmp_path, monkeypatch, argv):
         ("verify-general", "--n-max", "5"),
         ("verify-linear", "--n-max", "8"),
         ("verify-linear", "--n-max", "5", "--threshold", "1"),
+        ("verify-general", "--n-max", "2", "--threshold", "0"),
         ("verify-general", "--n-max", "4", "--threshold", "1"),
     ],
-    ids=["general-5", "linear-8", "linear-fail", "general-fail-shared"],
+    ids=["general-5", "linear-8", "linear-fail", "general-capped", "general-capped-shared"],
 )
 def test_sweep_rows_are_the_bytes_of_the_dict_rows(capsys, tmp_path, monkeypatch, argv):
     # every record of a sweep's lists encoded from the sweep's rows, with no
     # dict, against the oracle's dict records through the writer's encoder:
-    # passes, and failures with "connected": false rows, those of
-    # verify-general sharing their edge sets with stats rows
+    # passes, and failures with "connected": false rows; the "capped" inputs
+    # cap the threshold below some instances' minimum (2 and 141 failures),
+    # so verify-general's failures share their edge sets with stats rows
     _, report, text = written_report(capsys, tmp_path, monkeypatch, argv)
     assert report["payload"]["stats"]
     write_report(report, "dicts.json")
