@@ -3,9 +3,9 @@
 Vertices are 0-indexed.  Colors and adjacency rows are stored as bitmasks,
 so a graph is a small hashable value and press returns a new graph
 instead of mutating.  The constructor checks symmetry by transposing the
-rows' w x w bit matrix (w = 2^k >= n) in log2(w) big-int steps, not edge by
-edge: 2 ms at 1,000 vertices, 0.04 s at 3,000 and 0.2 s at 8,000 (2-CPU Xeon,
-Python 3.11), the rows packed into one int in linear time.  The press rule
+rows' w x w bit matrix (w = 2^k >= max(n, 8)) in log2(w) big-int steps, not edge
+by edge: 2 ms at 1,000 vertices, 0.04 s at 3,000 and 0.2 s at 8,000 (2-CPU Xeon,
+Python 3.11), the rows packed into one int by one to_bytes each.  The press rule
 lives in one place, the in-place row kernel _press_rows, run by fold_path
 along a path on one copy of the rows (for apply_path and its one-vertex case
 press) and by the enumeration count in paths on raw rows, no graph per state.
@@ -55,17 +55,12 @@ class BWGraph:
         n, adj = self.n, self.adj
         if n < 0 or len(adj) != n or self.colors >> n:
             raise ValueError("inconsistent graph fields")
-        w = 1 << (n - 1).bit_length()
+        w = max(8, 1 << (n - 1).bit_length())  # to_bytes writes whole bytes
         swaps, diag = _transpose_masks(w)
         out = next((v for v, row in enumerate(adj) if row >> n), n)  # first row past n-1
         full = (1 << w) - 1  # row v goes to bits v*w.., cut to its w bits
-        if n > 64:  # a shift per row would copy the growing matrix each time
-            m = int.from_bytes(b"".join((row & full).to_bytes(w >> 3, "little") for row in adj),
-                               "little")
-        else:
-            m = 0
-            for row in reversed(adj):
-                m = m << w | row & full
+        rows = [(row & full).to_bytes(w >> 3, "little") for row in adj]
+        m = int.from_bytes(b"".join(rows), "little")
         t = m
         for shift, mask in swaps:  # t becomes the transpose of m
             x = (t >> shift ^ t) & mask

@@ -28,11 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
+from math import comb
 from operator import itemgetter
 
 from .bwgraph import BWGraph, _unchecked
 from .errors import EmptyPathSetError, UnsolvableError
-from .paths import PathSet, PressingPath, enumerate_successful, format_path
+from .paths import DEFAULT_CAP, PathSet, PressingPath, enumerate_successful, format_path
+
+_EDGE_CAP = 10 * DEFAULT_CAP  # most keys, and most candidate pairs, build_metagraph makes
 
 
 def _check_gate(ps: PathSet, k: int) -> None:
@@ -44,16 +47,21 @@ def _check_gate(ps: PathSet, k: int) -> None:
 
 def build_metagraph(ps: PathSet, k: int) -> tuple[tuple[int, int], ...]:
     """Sorted index pairs (i, j), i < j, of the paths of ps with
-    lcs >= common_length - k (`at most k less`, inclusive)."""
+    lcs >= common_length - k (`at most k less`, inclusive).  ValueError, before
+    any is built, when the P * C(L, k) keys or their groups' pairs pass _EDGE_CAP."""
     _check_gate(ps, k)
     # a path never repeats a vertex, so each group lists ascending indices once
     groups: dict[PressingPath, list[int]] = {}
     size = max(ps.common_length - k, 0)
+    if len(ps.paths) * comb(ps.common_length, size) > _EDGE_CAP:
+        raise ValueError(f"threshold {k} needs more than {_EDGE_CAP} subsequence keys")
     for i, p in enumerate(ps.paths):
         for key in combinations(p, size):
             groups.setdefault(key, []).append(i)
     buckets = [g for g in groups.values() if len(g) > 1]
     del groups  # free the P * C(L, k) keys and one-path groups before the pairs grow
+    if sum(comb(len(g), 2) for g in buckets) > _EDGE_CAP:
+        raise ValueError(f"threshold {k} gives more than {_EDGE_CAP} candidate metagraph edges")
     return tuple(sorted({pair for g in buckets for pair in combinations(g, 2)}))
 
 

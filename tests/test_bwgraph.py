@@ -225,7 +225,7 @@ def _constructor_verdict(n, colors, adj):
 
 def _row_check_cases():
     """Every n <= 3 row tuple over n + 1 bits or -1, then 20,000 seeded graphs with
-    n <= 70 (matrix widths 1 to 128), most carrying up to three injected faults."""
+    n <= 70 (matrix widths 8 to 128), most carrying up to three injected faults."""
     for n in range(4):
         yield from ((n, 0, adj) for adj in itertools.product(range(-1, 2 << n), repeat=n))
     rng = random.Random(70)
@@ -278,9 +278,9 @@ def test_transpose_masks_match_cellwise_oracle():
 
 
 def test_constructor_checks_an_8001_vertex_overlap_graph_in_a_fresh_process():
-    # past 64 rows the matrix is packed with one to_bytes per row, so the
-    # check stays linear in the matrix size; a fresh process also builds the
-    # transpose masks for w = 8192, and a one-sided edge must still be named
+    # the matrix is packed with one to_bytes per row, so the check stays
+    # linear in the matrix size; a fresh process also builds the transpose
+    # masks for w = 8192, and a one-sided edge must still be named
     script = textwrap.dedent("""
         import sys
         from pressgame.bwgraph import BWGraph

@@ -164,6 +164,17 @@ def test_metagraph_exit_tracks_connectivity(capsys, tmp_path):
     assert dot.read_text().startswith("graph M {")
 
 
+def test_metagraph_over_the_edge_cap_exits_2_and_writes_nothing(capsys, tmp_path):
+    # 11,529 paths at threshold 3 give 25,386,499 candidate pairs, over the
+    # 10,000,000 build_metagraph allows, so it stops before building any
+    dot, report = tmp_path / "m.dot", tmp_path / "m.json"
+    argv = ("metagraph", "linear:BWBWBWBWBW", "--threshold", "3")
+    assert run(capsys, *argv, "--dot", str(dot), "--report", str(report)) == (
+        2, "", "error: threshold 3 gives more than 10000000 candidate metagraph edges\n"
+    )
+    assert not dot.exists() and not report.exists()
+
+
 N6_WITNESS = "6\nWWWWBB\n0 1\n1 2\n1 3\n2 4\n3 5\n4 5\n"
 
 

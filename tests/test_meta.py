@@ -76,6 +76,22 @@ def test_gate_at_common_length_is_complete():
         assert len(build_metagraph(ps, ps.common_length)) == p * (p - 1) // 2
 
 
+def test_build_metagraph_is_bounded_by_the_edge_cap(monkeypatch):
+    # linear:BWBWBWBW at threshold 2: 441 paths x C(8, 6) = 12,348 keys, whose
+    # groups give 43,143 candidate pairs and 13,320 distinct edges
+    ps = enumerate_successful(linear_graph("BWBWBWBW"))
+    edges = build_metagraph(ps, 2)
+    monkeypatch.setattr(meta, "_EDGE_CAP", 43_143)
+    assert build_metagraph(ps, 2) == edges and len(edges) == 13_320
+    monkeypatch.setattr(meta, "_EDGE_CAP", 43_142)
+    with pytest.raises(ValueError, match="^threshold 2 gives more than 43142 candidate "
+                                         "metagraph edges$"):
+        build_metagraph(ps, 2)
+    monkeypatch.setattr(meta, "_EDGE_CAP", 12_347)
+    with pytest.raises(ValueError, match="^threshold 2 needs more than 12347 subsequence keys$"):
+        build_metagraph(ps, 2)
+
+
 def test_empty_path_set_rejected():
     g = linear_graph("WBW")
     empty = PathSet(graph=g, paths=(), common_length=0)
