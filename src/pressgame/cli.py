@@ -3,8 +3,9 @@
 Eight subcommands, one per capability: press, overlap, distance,
 enumerate, metagraph, verify-linear, verify-general, sample.  Exit codes:
 0 success or property verified, 1 property violated or counterexample
-found, 2 input or usage error, a --report file that cannot be written, or
-a graph past the enumeration cap (no sweep reaches it within its n bound).
+found, 2 input or usage error, a --report or --dot file that cannot be
+written (after the output; a failed --dot writes no --report), or a graph
+past the enumeration cap (no sweep reaches it within its n bound).
 
 Reports are built only under --report, as JSON with sorted keys so that
 reruns of a deterministic command diff cleanly; wall_time, the command's own
@@ -54,7 +55,6 @@ from .permrev import (
 )
 from .sampler import ChainReport, run_chain
 
-_VERDICT_EXIT = {"PASS": 0, "FAIL": 1}
 Outcome = tuple[int, Callable[[], dict], str]  # exit code, --report payload builder, input
 
 
@@ -227,9 +227,10 @@ def cmd_metagraph(args) -> Outcome:
 
 
 def cmd_verify(args) -> Outcome:
-    r = args.sweep(args.n_max, args.threshold)
+    # an omitted --threshold leaves the sweep its own default
+    r = args.sweep(args.n_max, *(() if args.threshold is None else (args.threshold,)))
     _print_sweep(r)
-    return _VERDICT_EXIT[r.verdict], partial(_sweep_payload, r), r.family
+    return (1 if r.failures else 0), partial(_sweep_payload, r), r.family
 
 
 def cmd_sample(args) -> Outcome:
@@ -288,19 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", metavar="FILE")
     p.set_defaults(handler=cmd_metagraph)
 
-    p = add_parser(
-        "verify-linear", help="metagraph connectivity over all linear graphs"
-    )
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--threshold", type=int, default=2)
-    p.set_defaults(handler=cmd_verify, sweep=verify_linear_family)
-
-    p = add_parser(
-        "verify-general", help="metagraph connectivity over all labeled graphs"
-    )
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--threshold", type=int, default=4)
-    p.set_defaults(handler=cmd_verify, sweep=verify_general_family)
+    # looked up per call, nothing read off them: the tracer's wrappers have no defaults
+    for name, sweep, family in (("verify-linear", verify_linear_family, "linear"),
+                                ("verify-general", verify_general_family, "labeled")):
+        p = add_parser(name, help=f"metagraph connectivity over all {family} graphs")
+        p.add_argument("--n-max", type=int, required=True)
+        p.add_argument("--threshold", type=int)
+        p.set_defaults(handler=cmd_verify, sweep=sweep)
 
     p = add_parser("sample", help="MH chain over the successful paths")
     p.add_argument("graph")

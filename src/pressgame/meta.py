@@ -12,7 +12,9 @@ Within each n a sweep verifies one instance per coloured isomorphism class
 and gives the other members its result.  That is exact: a relabelling maps
 the successful paths one to one and keeps every LCS, so path count,
 min_threshold and solvability are class invariants.  Class keys come from
-the S_n orbits of edge masks, or from the path's reversal.
+the S_n orbits of edge masks, or from the path's reversal.  The failing
+rows are verified once more after the sweep, for witnesses in their own
+labels.
 
 Edges are decided without comparing pairs.  Two paths of common length L
 have an LCS of at least L - k exactly when they share a subsequence of
@@ -175,24 +177,24 @@ def _sweep(label: str, topologies, n_max: int, threshold: int) -> SweepReport:
     topologies(n) yields (edges, classes), classes[c] the key of colour mask
     c, shared only by isomorphic coloured graphs.  Colourings share their
     edge set's from_parts rows and are built as from_parts builds them.
-    Each class is verified once per n (exact, see the module docstring), and
-    a failing member again, so that its witness is in its own labels.  No
-    cap is caught: the callers' n bounds keep every instance under the
-    default cap, and a CapExceededError would end the sweep, loudly."""
+    Each class is verified once per n (exact, see the module docstring);
+    after the sweep each failing row is verified once more, so that its
+    witness is in its own labels.  No cap is caught: the callers' n bounds
+    keep every instance under the default cap, and a CapExceededError would
+    end the sweep, loudly."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     stats: list[InstanceStats] = []
-    failures: list[SweepFailure] = []
     for n in range(1, n_max + 1):
-        seen: dict = {}  # class key -> its row, or False (unsolvable)
+        seen: dict = {}  # class key -> its first member's row, or False (unsolvable)
         for edges, classes in topologies(n):
             adj = BWGraph.from_parts("W" * n, edges).adj
             for colors, key in enumerate(classes):
                 g = _unchecked(n, colors, adj)
                 hit = seen.get(key)
-                if hit is None or hit and hit.min_threshold > threshold:
+                if hit is None:
                     try:
-                        hit, ps, components = verify_instance(g, threshold)
+                        hit = verify_instance(g, threshold)[0]
                     except UnsolvableError:
                         hit = False
                     seen[key] = hit
@@ -200,13 +202,12 @@ def _sweep(label: str, topologies, n_max: int, threshold: int) -> SweepReport:
                     hit = InstanceStats(g, hit.path_count, hit.min_threshold)
                 if hit:
                     stats.append(hit)
-                    if hit.min_threshold > threshold:  # verified just now
-                        failures.append(SweepFailure(ps, components))
     return SweepReport(
         family=f"{label}, n <= {n_max}",
         threshold=threshold,
         stats=tuple(stats),
-        failures=tuple(failures),
+        failures=tuple(SweepFailure(*verify_instance(row.graph, threshold)[1:])
+                       for row in stats if row.min_threshold > threshold),
     )
 
 

@@ -217,7 +217,13 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_help_and_version_exit_0(capsys):
-    assert run(capsys, "--help")[0] == 0
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    for family in ("linear", "labeled"):
+        assert f"metagraph connectivity over all {family} graphs" in out
+    for command in ("verify-linear", "verify-general"):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and "--threshold" in out, command
     assert run(capsys, "--version")[0] == 0
 
 
@@ -432,11 +438,27 @@ def test_unwritable_report_is_input_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [("overlap", "+4 -1 -6 +3 +2 +5"), ("metagraph", "linear:BWBB", "--threshold", "2")],
+)
+def test_unwritable_dot_is_input_error(capsys, tmp_path, argv):
+    # the command's output comes first, and no --report follows a failed --dot
+    _, plain, _ = run(capsys, *argv)
+    r = tmp_path / "r.json"
+    dot = tmp_path / "missing" / "m.dot"
+    code, out, err = run(capsys, *argv, "--dot", str(dot), "--report", str(r))
+    assert (code, out) == (2, plain)
+    assert err == f"error: [Errno 2] No such file or directory: {str(dot)!r}\n"
+    assert not r.exists()
+
+
+@pytest.mark.parametrize(
     "argv, code, instances, digest",
     [
         (("verify-linear", "--n-max", "6"), 0, 121, "95a8049056a5040b"),
         (("verify-general", "--n-max", "3"), 0, 63, "4dfdf4a422af751b"),
         (("verify-linear", "--n-max", "5", "--threshold", "1"), 1, 58, "8bace185336a9762"),
+        (("verify-general", "--n-max", "4", "--threshold", "1"), 1, 972, "277c060da8de449a"),
     ],
 )
 def test_sweep_payload_is_pinned(capsys, tmp_path, argv, code, instances, digest):

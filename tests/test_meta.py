@@ -345,10 +345,12 @@ def test_sweeps_call_verify_instance_once_per_class(monkeypatch):
         calls.append(args)
         return verify_instance(*args)
 
-    # linear n <= 5 at threshold 1: 41 classes, plus 7 failing rows that are
-    # verified again so that their witnesses are in their own labels
+    # a failing sweep verifies each failing row once more after the classes,
+    # so that its witness is in its own labels: linear n <= 5 at threshold 1
+    # has 41 classes and 19 failing rows, labeled n <= 4 118 and 141
     cases = (((verify_general_family, 4), 118), ((verify_linear_family, 7), 149),
-             ((verify_linear_family, 5, 1), 48))
+             ((verify_linear_family, 5, 1), 41 + 19),
+             ((verify_general_family, 4, 1), 118 + 141))
     monkeypatch.setattr(meta, "verify_instance", counted)
     traced = []
     for (sweep, *args), expected in cases:
