@@ -41,9 +41,9 @@ from .errors import GameError
 from .meta import (
     SweepReport,
     build_metagraph,
+    connectivity,
     metagraph_to_dot,
     verify_general_family,
-    verify_instance,
     verify_linear_family,
 )
 from .paths import DEFAULT_CAP, PathSet, enumerate_successful, format_path, format_paths
@@ -204,13 +204,16 @@ def cmd_enumerate(args) -> Outcome:
 
 def cmd_metagraph(args) -> Outcome:
     g = load_graph(args.graph)
-    row, ps, _ = verify_instance(g, args.threshold)
-    edges = build_metagraph(ps, args.threshold)
-    connected = row.min_threshold <= args.threshold
+    if args.threshold < 0:  # before any path is counted
+        raise ValueError("threshold must be non-negative")
+    ps = enumerate_successful(g)
+    edges = build_metagraph(ps, args.threshold)  # its bounds refuse before the gate runs
+    min_k = connectivity(ps, args.threshold)[0]
+    connected = min_k <= args.threshold
     print(
-        f"{row.path_count} paths, {len(edges)} edges at threshold "
+        f"{len(ps.paths)} paths, {len(edges)} edges at threshold "
         f"{args.threshold}: {'connected' if connected else 'DISCONNECTED'} "
-        f"(min connecting threshold {row.min_threshold})"
+        f"(min connecting threshold {min_k})"
     )
     if args.dot:
         with open(args.dot, "w") as fh:
@@ -219,7 +222,7 @@ def cmd_metagraph(args) -> Outcome:
         "graph": _graph_payload(g),
         "threshold": args.threshold,
         "connected": connected,
-        "min_connect_threshold": row.min_threshold,
+        "min_connect_threshold": min_k,
         "edge_count": len(edges),
         "edges": edges,
         **_pathset_payload(ps),

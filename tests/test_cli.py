@@ -164,18 +164,35 @@ def test_metagraph_exit_tracks_connectivity(capsys, tmp_path):
     assert dot.read_text().startswith("graph M {")
 
 
-def test_metagraph_over_the_edge_cap_exits_2_and_writes_nothing(capsys, tmp_path):
-    # 11,529 paths at threshold 3 give 25,386,499 candidate pairs, over the
-    # 10,000,000 build_metagraph allows, so it stops before building any
-    dot, report = tmp_path / "m.dot", tmp_path / "m.json"
-    argv = ("metagraph", "linear:BWBWBWBWBW", "--threshold", "3")
-    assert run(capsys, *argv, "--dot", str(dot), "--report", str(report)) == (
-        2, "", "error: threshold 3 gives more than 10000000 candidate metagraph edges\n"
-    )
-    assert not dot.exists() and not report.exists()
-
-
 N6_WITNESS = "6\nWWWWBB\n0 1\n1 2\n1 3\n2 4\n3 5\n4 5\n"
+
+
+def test_metagraph_over_the_edge_cap_exits_2_and_writes_nothing(capsys, tmp_path, monkeypatch):
+    # 11,529 paths at threshold 3 give 25,386,499 candidate pairs, over the
+    # 10,000,000 build_metagraph allows, so it stops before building any.  The
+    # witness plus the path B W^8 has 10,010 paths: at threshold 4 its
+    # 10,010 * C(15, 4) keys pass the bound, at 3 its candidate pairs do.
+    # Either refusal comes before the connectivity gate, which takes seconds here
+    def gate(ps, k):
+        raise AssertionError("the connectivity gate ran before the bounds refused")
+
+    monkeypatch.setattr("pressgame.meta.connectivity", gate)
+    monkeypatch.setattr("pressgame.cli.connectivity", gate)
+    long_tail = tmp_path / "witness_and_path.txt"
+    long_tail.write_text(
+        "15\nWWWWBBBWWWWWWWW\n0 1\n1 2\n1 3\n2 4\n3 5\n4 5\n"
+        + "".join(f"{v} {v + 1}\n" for v in range(6, 14))
+    )
+    dot, report = tmp_path / "m.dot", tmp_path / "m.json"
+    pairs = "error: threshold 3 gives more than 10000000 candidate metagraph edges\n"
+    for source, k, err in (
+        ("linear:BWBWBWBWBW", "3", pairs),
+        (str(long_tail), "3", pairs),
+        (str(long_tail), "4", "error: threshold 4 needs more than 10000000 subsequence keys\n"),
+    ):
+        argv = ("metagraph", source, "--threshold", k, "--dot", str(dot), "--report", str(report))
+        assert run(capsys, *argv) == (2, "", err), (source, k)
+        assert not dot.exists() and not report.exists()
 
 
 def test_metagraph_n6_witness_needs_threshold_4(capsys, tmp_path):
