@@ -16,7 +16,8 @@ such as a sweep's stats rows and failures, is written one compact record
 per line, and every other value compactly on its key's line, so one
 changed instance is one changed line.  Every record list of a sweep report
 (stats, failures) is encoded straight from the sweep's rows into the bytes
-the C encoder gives their dicts, with one encoded edge list per edge set.
+the C encoder gives their dicts, each record only when it is written, with
+one encoded edge list per edge set and one colour string per (n, mask).
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ import json
 import sys
 import time
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable, NamedTuple
 
 from . import __version__
 from .bwgraph import (
     BWGraph,
+    _unchecked,
     apply_path,
     format_graph,
     graph_to_dot,
@@ -71,8 +73,10 @@ def load_graph(source: str) -> BWGraph:
 _encode = json.JSONEncoder(sort_keys=True).encode  # no indent: the C encoder
 
 
-class _Encoded(tuple):
-    """Records already encoded as _encode encodes them, written as they are."""
+class _Encoded(NamedTuple):
+    """Records encoded as _encode encodes them, written as they come."""
+
+    records: Iterable[str]
 
 
 def _write_json(fh, value, pad: str) -> None:
@@ -86,14 +90,14 @@ def _write_json(fh, value, pad: str) -> None:
             _write_json(fh, value[key], inner)
             sep = ",\n"
         fh.write(f"\n{pad}}}")
-    elif (isinstance(value, _Encoded) and value
-          or isinstance(value, list) and value and all(isinstance(x, dict) for x in value)):
+    elif isinstance(value, _Encoded) or isinstance(value, list) and all(
+            isinstance(x, dict) for x in value):
         sep = "[\n"
-        records = value if isinstance(value, _Encoded) else map(_encode, value)
-        for record in records:  # written as encoded, never joined into one string
+        records = value.records if isinstance(value, _Encoded) else map(_encode, value)
+        for record in records:  # each written as it is encoded, none held after
             fh.write(f"{sep}{inner}{record}")
             sep = ",\n"
-        fh.write(f"\n{pad}]")
+        fh.write("[]" if sep == "[\n" else f"\n{pad}]")
     else:
         fh.write(_encode(value))
 
@@ -118,14 +122,19 @@ def _pathset_payload(ps: PathSet) -> dict:
 
 def _sweep_payload(r: SweepReport) -> dict:
     # every record is encoded as _encode encodes its dict, keys sorted, with
-    # no dict built; rows of one edge set share its encoded edge list
+    # no dict built; rows of one edge set share its encoded edge list, and
+    # rows of one (n, colour mask) its colour string
     edge_json: dict[tuple[int, ...], str] = {}
+    color_str: dict[int, str] = {}  # colors | 1 << n -> the colour string
 
-    def graph(g: BWGraph) -> str:  # _encode(_graph_payload(g))
-        edges = edge_json.get(g.adj)
+    def graph(n: int, colors: int, adj: tuple[int, ...]) -> str:  # _encode(_graph_payload(g))
+        edges = edge_json.get(adj)
         if edges is None:
-            edges = edge_json[g.adj] = _encode(g.edges())
-        return f'{{"colors": "{g.color_string()}", "edges": {edges}, "n": {g.n}}}'
+            edges = edge_json[adj] = _encode(_unchecked(n, colors, adj).edges())
+        text = color_str.get(key := colors | 1 << n)
+        if text is None:
+            text = color_str[key] = _unchecked(n, colors, adj).color_string()
+        return f'{{"colors": "{text}", "edges": {edges}, "n": {n}}}'
 
     return {
         "family": r.family,
@@ -133,16 +142,16 @@ def _sweep_payload(r: SweepReport) -> dict:
         "verdict": r.verdict,
         "instances_checked": r.instances_checked,
         "failures": _Encoded(
-            f'{{"components": {_encode(f.components)}, "graph": {graph(f.path_set.graph)}, '
+            f'{{"components": {_encode(f.components)}, "graph": {graph(g.n, g.colors, g.adj)}, '
             f'"paths": {_encode([format_path(p) for p in f.path_set.paths])}}}'
-            for f in r.failures
+            for f in r.failures for g in [f.path_set.graph]
         ),
         "incomplete": [],  # no sweep is capped; kept so reports parse as before
         "stats": _Encoded(
-            f'{{"connected": {"true" if s.min_threshold <= r.threshold else "false"}, '
-            f'"graph": {graph(s.graph)}, "min_threshold": {s.min_threshold}, '
-            f'"path_count": {s.path_count}}}'
-            for s in r.stats
+            f'{{"connected": {"true" if min_k <= r.threshold else "false"}, '
+            f'"graph": {graph(n, colors, adj)}, "min_threshold": {min_k}, '
+            f'"path_count": {count}}}'
+            for n, colors, adj, count, min_k in r.stats
         ),
     }
 

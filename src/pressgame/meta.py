@@ -8,13 +8,14 @@ whole graph families: all linear graphs up to n_max at threshold 2, and all
 labeled graphs up to n_max at threshold 4.  Instances come by n, then
 edge list (labeled graphs: ascending edge mask over combinations(range(n),
 2)), then colour mask ascending, bit v set meaning vertex v is black.
-Within each n a sweep verifies one instance per coloured isomorphism class
-and gives the other members its result.  That is exact: a relabelling maps
-the successful paths one to one and keeps every LCS, so path count,
-min_threshold and solvability are class invariants.  Class keys come from
-the S_n orbits of edge masks, or from the path's reversal.  The failing
-rows are verified once more after the sweep, for witnesses in their own
-labels.
+Within each n a sweep verifies one instance per coloured isomorphism class.
+Each member's row is its n, colour mask and adjacency rows plus its class's
+path count and min_threshold, so no other member builds a graph or any
+object but that tuple.  That is exact: a relabelling maps the successful
+paths one to one and keeps every LCS, so path count, min_threshold and
+solvability are class invariants.  Class keys come from the S_n orbits of
+edge masks, or from the path's reversal.  The failing rows are verified
+once more after the sweep, for witnesses in their own labels.
 
 Edges are decided without comparing pairs.  Two paths of common length L
 have an LCS of at least L - k exactly when they share a subsequence of
@@ -32,6 +33,7 @@ from functools import cache
 from itertools import combinations, permutations
 from math import comb
 from operator import itemgetter
+from typing import NamedTuple
 
 from .bwgraph import BWGraph, _unchecked
 from .errors import EmptyPathSetError, UnsolvableError
@@ -119,14 +121,20 @@ def connectivity(ps: PathSet, k: int) -> tuple[int, tuple[tuple[int, ...], ...]]
     return d, at_k
 
 
-@dataclass(frozen=True)
-class InstanceStats:
-    """Per-instance sweep record: one solved graph and its metagraph facts.
-    The metagraph is connected at threshold k exactly when k >= min_threshold."""
+class InstanceStats(NamedTuple):
+    """Per-instance sweep record: one solved graph's fields and its metagraph
+    facts; the graph property builds the graph each time it is read.  The
+    metagraph is connected at threshold k exactly when k >= min_threshold."""
 
-    graph: BWGraph
+    n: int
+    colors: int
+    adj: tuple[int, ...]
     path_count: int
     min_threshold: int
+
+    @property
+    def graph(self) -> BWGraph:
+        return _unchecked(self.n, self.colors, self.adj)
 
 
 @dataclass(frozen=True)
@@ -166,7 +174,7 @@ def verify_instance(
         raise ValueError("threshold must be non-negative")
     ps = enumerate_successful(g)
     min_k, components = connectivity(ps, k)
-    stats = InstanceStats(graph=g, path_count=len(ps.paths), min_threshold=min_k)
+    stats = InstanceStats(g.n, g.colors, g.adj, len(ps.paths), min_k)
     return stats, ps, components
 
 
@@ -176,32 +184,30 @@ def _sweep(label: str, topologies, n_max: int, threshold: int) -> SweepReport:
     (bit v set means vertex v is black).  verify_instance rejects k < 0.
     topologies(n) yields (edges, classes), classes[c] the key of colour mask
     c, shared only by isomorphic coloured graphs.  Colourings share their
-    edge set's from_parts rows and are built as from_parts builds them.
-    Each class is verified once per n (exact, see the module docstring);
-    after the sweep each failing row is verified once more, so that its
-    witness is in its own labels.  No cap is caught: the callers' n bounds
-    keep every instance under the default cap, and a CapExceededError would
-    end the sweep, loudly."""
+    edge set's from_parts rows.  Each class is verified once per n (exact,
+    see the module docstring) on a graph built as from_parts builds it, and
+    seen keeps its (path_count, min_threshold) for its members' rows.  Each
+    failing row is verified once more after the sweep, for a witness in its
+    own labels.  No cap is caught: the callers' n bounds keep every
+    instance under the default cap, and a CapExceededError would end the
+    sweep, loudly."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     stats: list[InstanceStats] = []
     for n in range(1, n_max + 1):
-        seen: dict = {}  # class key -> its first member's row, or False (unsolvable)
+        seen: dict = {}  # class key -> (path_count, min_threshold), or () (unsolvable)
         for edges, classes in topologies(n):
             adj = BWGraph.from_parts("W" * n, edges).adj
             for colors, key in enumerate(classes):
-                g = _unchecked(n, colors, adj)
                 hit = seen.get(key)
                 if hit is None:
                     try:
-                        hit = verify_instance(g, threshold)[0]
+                        hit = verify_instance(_unchecked(n, colors, adj), threshold)[0][3:]
                     except UnsolvableError:
-                        hit = False
+                        hit = ()
                     seen[key] = hit
-                elif hit:
-                    hit = InstanceStats(g, hit.path_count, hit.min_threshold)
                 if hit:
-                    stats.append(hit)
+                    stats.append(InstanceStats(n, colors, adj, *hit))
     return SweepReport(
         family=f"{label}, n <= {n_max}",
         threshold=threshold,

@@ -1,4 +1,5 @@
-"""Acceptance suite: the eight headline checks, one test each.
+"""Acceptance suite: the eight headline checks, one test each, and
+criterion 6 carried to n <= 6 with its thresholds pinned.
 
 Every test prints a single verdict line with the measured numbers (visible
 with -s or -rA; pytest -v shows the per-test outcome either way).  Heavy
@@ -8,12 +9,14 @@ slow" during development.
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from pressgame.bwgraph import BWGraph, is_all_white_empty, is_solvable, linear_graph, press
 from pressgame.cli import main as cli_main
 from pressgame.errors import EdgeNotOrientedError, HurdleRiskError
+from pressgame.meta import verify_general_family
 from pressgame.paths import enumerate_successful, find_safe_press, is_successful_path
 from pressgame.permrev import (
     SignedPermutation,
@@ -148,6 +151,32 @@ def test_criterion_6_general_graphs_connected_at_threshold_4(capsys):
         "6 (all metagraphs connected at k=4, n <= 5)",
         ok and elapsed <= 1800,
         f"exit {code}, {first!r}, {elapsed:.0f}s of the 1800s budget",
+    )
+
+
+@pytest.mark.slow
+def test_criterion_6_extends_to_n_6_with_its_thresholds():
+    # labelled n <= 6 at k = 4: n = 6 alone has 2,038,227 solvable members,
+    # and its 540 members at threshold 4, the WWWWBB witness among them, show
+    # that 4 is tight; the min_threshold multisets pin every class's minimum
+    witness = BWGraph.from_parts("WWWWBB", [(0, 1), (1, 2), (1, 3), (2, 4), (3, 5), (4, 5)])
+    start = time.monotonic()
+    r = verify_general_family(6)
+    elapsed = time.monotonic() - start
+    at_6 = Counter(row.min_threshold for row in r.stats if row.n == 6)
+    whole = Counter(row.min_threshold for row in r.stats)
+    tight = {row[:3] for row in r.stats if row.min_threshold == 4}
+    ok = (
+        (r.verdict, r.instances_checked) == ("PASS", 2_069_969)
+        and at_6 == {0: 12_157, 1: 536_165, 2: 1_488_285, 3: 1_080, 4: 540}
+        and whole == {0: 13_549, 1: 552_457, 2: 1_502_343, 3: 1_080, 4: 540}
+        and (witness.n, witness.colors, witness.adj) in tight
+    )
+    verdict(
+        "6 at n <= 6 (connected at k=4, thresholds pinned)",
+        ok,
+        f"{r.verdict} over {r.instances_checked} instances, n = 6 thresholds "
+        f"{dict(sorted(at_6.items()))}, {elapsed:.1f}s",
     )
 
 

@@ -1,5 +1,6 @@
 """End-to-end command behavior: output, exit codes, reports, files."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 
 import pressgame
 from pressgame.bwgraph import format_graph, linear_graph
-from pressgame.cli import _sweep_payload, load_graph, main, write_report
+from pressgame.cli import _sweep_payload, _write_json, load_graph, main, write_report
 from pressgame.errors import CapExceededError, GraphParseError, SelfLoopError
 from pressgame.meta import verify_general_family, verify_linear_family
 from pressgame.paths import DEFAULT_CAP
@@ -431,6 +432,34 @@ def test_sweep_rows_are_the_bytes_of_the_dict_rows(capsys, tmp_path, monkeypatch
                   if a != b), None)
     assert first is None
     assert text == dicts
+
+
+def test_sweep_rows_are_read_as_they_are_written(tmp_path):
+    # the payload holds no row's text: each stats row is read only when its
+    # record is written, so a report never holds every encoded row at once
+    class CountedRows(tuple):
+        read = 0
+
+        def __iter__(self):
+            for row in super().__iter__():
+                self.read += 1
+                yield row
+
+    r = verify_linear_family(5, 1)
+    rows = CountedRows(r.stats)
+    payload = _sweep_payload(dataclasses.replace(r, stats=rows))
+    assert rows.read == 0
+    written = []  # (rows read, text) per write
+
+    class Sink:
+        def write(self, text):
+            written.append((rows.read, text))
+
+    _write_json(Sink(), payload, "")
+    records = [read for read, text in written if '"path_count"' in text]
+    assert records == list(range(1, len(r.stats) + 1))
+    write_report(_sweep_payload(r), str(tmp_path / "r.json"))
+    assert "".join(text for _, text in written) + "\n" == (tmp_path / "r.json").read_text()
 
 
 def test_wall_time_excludes_the_report(capsys, tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from pressgame import meta, paths
-from pressgame.bwgraph import BWGraph, is_solvable, linear_graph
+from pressgame.bwgraph import BWGraph, _unchecked, is_solvable, linear_graph
 from pressgame.errors import EmptyPathSetError
 from pressgame.meta import (
     build_metagraph,
@@ -338,25 +338,34 @@ def test_class_key_counts_are_the_coloured_graph_counts():
 
 def test_sweeps_call_verify_instance_once_per_class(monkeypatch):
     # _sweep looks verify_instance up at each call, so a rebinding of it, as
-    # the bench probe and tracer make, sees every verification
-    calls = []
+    # the bench probe and tracer make, sees every verification; meta builds
+    # every graph through _unchecked, so a rebinding of that sees every graph
+    calls, graphs = [], []
 
     def counted(*args):
         calls.append(args)
         return verify_instance(*args)
 
+    def built(*args):
+        graphs.append(args)
+        return _unchecked(*args)
+
     # a failing sweep verifies each failing row once more after the classes,
     # so that its witness is in its own labels: linear n <= 5 at threshold 1
-    # has 41 classes and 19 failing rows, labeled n <= 4 118 and 141
+    # has 41 classes and 19 failing rows, labeled n <= 4 118 and 141; a
+    # graph is built only to be verified, not for each of the members'
+    # rows (1,098, 254, 62 and 1,098)
     cases = (((verify_general_family, 4), 118), ((verify_linear_family, 7), 149),
              ((verify_linear_family, 5, 1), 41 + 19),
              ((verify_general_family, 4, 1), 118 + 141))
     monkeypatch.setattr(meta, "verify_instance", counted)
+    monkeypatch.setattr(meta, "_unchecked", built)
     traced = []
     for (sweep, *args), expected in cases:
         calls.clear()
+        graphs.clear()
         traced.append(sweep(*args))
-        assert len(calls) == expected
+        assert (len(calls), len(graphs)) == (expected, expected)
     monkeypatch.undo()
     assert traced == [sweep(*args) for (sweep, *args), _ in cases]
 
