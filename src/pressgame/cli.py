@@ -14,10 +14,10 @@ from that stability guarantee.  Each dict outside a list is written one
 key per line, indented two spaces per level; a list of records (dicts),
 such as a sweep's stats rows and failures, is written one compact record
 per line, and every other value compactly on its key's line, so one
-changed instance is one changed line.  Every record list of a sweep report
-(stats, failures) is encoded straight from the sweep's rows into the bytes
-the C encoder gives their dicts, each record only when it is written, with
-one encoded edge list per edge set and one colour string per (n, mask).
+changed instance is one changed line.  A record list may be an iterator of
+records already encoded, each written as it comes: a sweep's failures go
+through _encode one at a time, and only its stats rows are encoded by hand,
+with one encoded edge list per edge set and one colour string per (n, mask).
 """
 
 from __future__ import annotations
@@ -26,13 +26,13 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Iterator
 from functools import partial
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable
 
 from . import __version__
 from .bwgraph import (
     BWGraph,
-    _unchecked,
     apply_path,
     format_graph,
     graph_to_dot,
@@ -73,15 +73,9 @@ def load_graph(source: str) -> BWGraph:
 _encode = json.JSONEncoder(sort_keys=True).encode  # no indent: the C encoder
 
 
-class _Encoded(NamedTuple):
-    """Records encoded as _encode encodes them, written as they come."""
-
-    records: Iterable[str]
-
-
 def _write_json(fh, value, pad: str) -> None:
-    """value as JSON in the module docstring's layout; pad is the
-    indentation of the line holding its opening bracket."""
+    """value as JSON in the module docstring's layout, an iterator as records
+    already encoded; pad is the indentation of the line holding its opening bracket."""
     inner = pad + "  "
     if isinstance(value, dict) and value:
         sep = "{\n"
@@ -90,12 +84,11 @@ def _write_json(fh, value, pad: str) -> None:
             _write_json(fh, value[key], inner)
             sep = ",\n"
         fh.write(f"\n{pad}}}")
-    elif isinstance(value, _Encoded) or isinstance(value, list) and all(
+    elif isinstance(value, Iterator) or isinstance(value, list) and all(
             isinstance(x, dict) for x in value):
         sep = "[\n"
-        records = value.records if isinstance(value, _Encoded) else map(_encode, value)
-        for record in records:  # each written as it is encoded, none held after
-            fh.write(f"{sep}{inner}{record}")
+        for record in value if isinstance(value, Iterator) else map(_encode, value):
+            fh.write(f"{sep}{inner}{record}")  # each written as it comes, none held after
             sep = ",\n"
         fh.write("[]" if sep == "[\n" else f"\n{pad}]")
     else:
@@ -121,38 +114,33 @@ def _pathset_payload(ps: PathSet) -> dict:
 
 
 def _sweep_payload(r: SweepReport) -> dict:
-    # every record is encoded as _encode encodes its dict, keys sorted, with
-    # no dict built; rows of one edge set share its encoded edge list, and
-    # rows of one (n, colour mask) its colour string
+    # a stats row is encoded into the bytes _encode gives its dict, with no dict built;
+    # rows share one encoded edge list per edge set and one colour string per (n, mask)
     edge_json: dict[tuple[int, ...], str] = {}
     color_str: dict[int, str] = {}  # colors | 1 << n -> the colour string
 
-    def graph(n: int, colors: int, adj: tuple[int, ...]) -> str:  # _encode(_graph_payload(g))
+    def row_record(row) -> str:
+        n, colors, adj, count, min_k = row
         edges = edge_json.get(adj)
         if edges is None:
-            edges = edge_json[adj] = _encode(_unchecked(n, colors, adj).edges())
+            edges = edge_json[adj] = _encode(row.graph.edges())
         text = color_str.get(key := colors | 1 << n)
         if text is None:
-            text = color_str[key] = _unchecked(n, colors, adj).color_string()
-        return f'{{"colors": "{text}", "edges": {edges}, "n": {n}}}'
+            text = color_str[key] = row.graph.color_string()
+        return (f'{{"connected": {"true" if min_k <= r.threshold else "false"}, '
+                f'"graph": {{"colors": "{text}", "edges": {edges}, "n": {n}}}, '
+                f'"min_threshold": {min_k}, "path_count": {count}}}')
 
     return {
         "family": r.family,
         "threshold": r.threshold,
         "verdict": r.verdict,
         "instances_checked": r.instances_checked,
-        "failures": _Encoded(
-            f'{{"components": {_encode(f.components)}, "graph": {graph(g.n, g.colors, g.adj)}, '
-            f'"paths": {_encode([format_path(p) for p in f.path_set.paths])}}}'
-            for f in r.failures for g in [f.path_set.graph]
-        ),
+        "failures": (
+            _encode({"components": f.components, "graph": _graph_payload(f.path_set.graph),
+                     "paths": [format_path(p) for p in f.path_set.paths]}) for f in r.failures),
         "incomplete": [],  # no sweep is capped; kept so reports parse as before
-        "stats": _Encoded(
-            f'{{"connected": {"true" if min_k <= r.threshold else "false"}, '
-            f'"graph": {graph(n, colors, adj)}, "min_threshold": {min_k}, '
-            f'"path_count": {count}}}'
-            for n, colors, adj, count, min_k in r.stats
-        ),
+        "stats": map(row_record, r.stats),
     }
 
 

@@ -173,7 +173,9 @@ def test_metagraph_over_the_edge_cap_exits_2_and_writes_nothing(capsys, tmp_path
     # 10,000,000 build_metagraph allows, so it stops before building any.  The
     # witness plus the path B W^8 has 10,010 paths: at threshold 4 its
     # 10,010 * C(15, 4) keys pass the bound, at 3 its candidate pairs do.
-    # Either refusal comes before the connectivity gate, which takes seconds here
+    # Either refusal comes before the connectivity gate, which takes seconds here.
+    # The 442,827 paths of (BW)x6 share the one key () at threshold 12, so
+    # their 98,047,654,551 candidate pairs, which no memory holds, are refused
     def gate(ps, k):
         raise AssertionError("the connectivity gate ran before the bounds refused")
 
@@ -190,6 +192,8 @@ def test_metagraph_over_the_edge_cap_exits_2_and_writes_nothing(capsys, tmp_path
         ("linear:BWBWBWBWBW", "3", pairs),
         (str(long_tail), "3", pairs),
         (str(long_tail), "4", "error: threshold 4 needs more than 10000000 subsequence keys\n"),
+        ("linear:BWBWBWBWBWBW", "12",
+         "error: threshold 12 gives more than 10000000 candidate metagraph edges\n"),
     ):
         argv = ("metagraph", source, "--threshold", k, "--dot", str(dot), "--report", str(report))
         assert run(capsys, *argv) == (2, "", err), (source, k)
@@ -435,8 +439,10 @@ def test_sweep_rows_are_the_bytes_of_the_dict_rows(capsys, tmp_path, monkeypatch
 
 
 def test_sweep_rows_are_read_as_they_are_written(tmp_path):
-    # the payload holds no row's text: each stats row is read only when its
-    # record is written, so a report never holds every encoded row at once
+    # the payload holds no record's text: each stats row and each failure is
+    # read only when its record is written, so a report never holds every
+    # encoded record at once (a failing labelled n <= 6 sweep at threshold 1
+    # has 1,503,963 failures)
     class CountedRows(tuple):
         read = 0
 
@@ -446,20 +452,22 @@ def test_sweep_rows_are_read_as_they_are_written(tmp_path):
                 yield row
 
     r = verify_linear_family(5, 1)
-    rows = CountedRows(r.stats)
-    payload = _sweep_payload(dataclasses.replace(r, stats=rows))
-    assert rows.read == 0
-    written = []  # (rows read, text) per write
+    rows, fails = CountedRows(r.stats), CountedRows(r.failures)
+    payload = _sweep_payload(dataclasses.replace(r, stats=rows, failures=fails))
+    assert (rows.read, fails.read) == (0, 0)
+    written = []  # (rows read, failures read, text) per write
 
     class Sink:
         def write(self, text):
-            written.append((rows.read, text))
+            written.append((rows.read, fails.read, text))
 
     _write_json(Sink(), payload, "")
-    records = [read for read, text in written if '"path_count"' in text]
+    records = [read for read, _, text in written if '"path_count"' in text]
     assert records == list(range(1, len(r.stats) + 1))
+    failures = [read for _, read, text in written if '"components"' in text]
+    assert failures == list(range(1, len(r.failures) + 1)) and len(failures) == 19
     write_report(_sweep_payload(r), str(tmp_path / "r.json"))
-    assert "".join(text for _, text in written) + "\n" == (tmp_path / "r.json").read_text()
+    assert "".join(text for *_, text in written) + "\n" == (tmp_path / "r.json").read_text()
 
 
 def test_wall_time_excludes_the_report(capsys, tmp_path, monkeypatch):

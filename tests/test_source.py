@@ -29,6 +29,19 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_cli_imports_no_private_name_from_the_package():
+    # cli builds on the modules' public names; dunders such as __version__ are public
+    tree = ast.parse((SRC / "cli.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("pressgame"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
+
+
 def _load_tracer():
     """The namespace of bench/tracing.py, run from its source (no bytecode
     cache is written next to it)."""
