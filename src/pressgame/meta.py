@@ -137,11 +137,13 @@ class InstanceStats(NamedTuple):
         return _unchecked(self.n, self.colors, self.adj)
 
 
-@dataclass(frozen=True)
-class SweepFailure:
-    """Disconnected-metagraph witness: the path set and its components."""
+class Verified(NamedTuple):
+    """One verified instance: its path set, the least threshold that connects
+    its metagraph, and the metagraph's components at the gate threshold (a
+    disconnection witness when there is more than one)."""
 
     path_set: PathSet
+    min_threshold: int
     components: tuple[tuple[int, ...], ...]
 
 
@@ -150,7 +152,7 @@ class SweepReport:
     family: str
     threshold: int
     stats: tuple[InstanceStats, ...]
-    failures: tuple[SweepFailure, ...]
+    failures: tuple[Verified, ...]
 
     @property
     def instances_checked(self) -> int:
@@ -161,21 +163,13 @@ class SweepReport:
         return "FAIL" if self.failures else "PASS"
 
 
-def verify_instance(
-    g: BWGraph, k: int
-) -> tuple[InstanceStats, PathSet, tuple[tuple[int, ...], ...]]:
+def verify_instance(g: BWGraph, k: int) -> Verified:
     """Enumerate one solvable graph and gate its metagraph at threshold k.
-
-    Returns the stats row, the path set, and the metagraph components
-    (a disconnection witness when there is more than one).  A negative k
-    is rejected before any path is enumerated.
-    """
+    A negative k is rejected before any path is enumerated."""
     if k < 0:
         raise ValueError("threshold must be non-negative")
     ps = enumerate_successful(g)
-    min_k, components = connectivity(ps, k)
-    stats = InstanceStats(g.n, g.colors, g.adj, len(ps.paths), min_k)
-    return stats, ps, components
+    return Verified(ps, *connectivity(ps, k))
 
 
 def _sweep(label: str, topologies, n_max: int, threshold: int) -> SweepReport:
@@ -202,7 +196,8 @@ def _sweep(label: str, topologies, n_max: int, threshold: int) -> SweepReport:
                 hit = seen.get(key)
                 if hit is None:
                     try:
-                        hit = verify_instance(_unchecked(n, colors, adj), threshold)[0][3:]
+                        v = verify_instance(_unchecked(n, colors, adj), threshold)
+                        hit = len(v.path_set.paths), v.min_threshold
                     except UnsolvableError:
                         hit = ()
                     seen[key] = hit
@@ -212,7 +207,7 @@ def _sweep(label: str, topologies, n_max: int, threshold: int) -> SweepReport:
         family=f"{label}, n <= {n_max}",
         threshold=threshold,
         stats=tuple(stats),
-        failures=tuple(SweepFailure(*verify_instance(row.graph, threshold)[1:])
+        failures=tuple(verify_instance(row.graph, threshold)
                        for row in stats if row.min_threshold > threshold),
     )
 

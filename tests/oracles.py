@@ -32,7 +32,7 @@ from pressgame.errors import (
     PressOnWhiteError,
     UnsolvableError,
 )
-from pressgame.meta import SweepFailure, SweepReport, verify_instance
+from pressgame.meta import InstanceStats, SweepReport, verify_instance
 from pressgame.paths import PathSet, PressingPath, find_safe_press, is_successful_path
 from pressgame.permrev import SignedPermutation
 from pressgame.sampler import proposal_probability
@@ -152,12 +152,12 @@ def instance_sweep(label, edge_lists, n_max, threshold):
     stats, failures = [], []
     for g in all_graphs_upto(n_max, edge_lists):
         try:
-            row, ps, components = verify_instance(g, threshold)
+            v = verify_instance(g, threshold)
         except UnsolvableError:
             continue
-        stats.append(row)
-        if row.min_threshold > threshold:
-            failures.append(SweepFailure(ps, components))
+        stats.append(InstanceStats(g.n, g.colors, g.adj, len(v.path_set.paths), v.min_threshold))
+        if v.min_threshold > threshold:
+            failures.append(v)
     return SweepReport(
         family=f"{label}, n <= {n_max}",
         threshold=threshold,

@@ -107,6 +107,9 @@ def test_negative_threshold_rejected():
         build_metagraph(ps, -1)
     with pytest.raises(ValueError, match="non-negative"):
         connectivity(ps, -1)
+    # before any path is enumerated: this graph is over the path cap
+    with pytest.raises(ValueError, match="threshold must be non-negative"):
+        verify_instance(linear_graph("BWBWBWBWBWBWBW"), -1)
 
 
 def test_connectivity_examples():
@@ -224,12 +227,12 @@ def test_kept_positions_put_close_drops_first():
 
 def test_verify_instance_examples():
     # a row is connected at threshold k exactly when k >= min_threshold
-    assert verify_instance(linear_graph("BBB"), 4)[0].min_threshold <= 4
+    assert verify_instance(linear_graph("BBB"), 4).min_threshold <= 4
     triangle = BWGraph.from_parts("BBB", [(0, 1), (1, 2), (0, 2)])
-    row, ps, components = verify_instance(triangle, 4)
-    assert row.min_threshold <= 4 and row.path_count == 3 == len(ps.paths)
+    ps, min_k, components = verify_instance(triangle, 4)
+    assert min_k <= 4 and len(ps.paths) == 3
     assert components == ((0, 1, 2),)
-    assert verify_instance(linear_graph("B"), 0)[0].min_threshold == 0
+    assert verify_instance(linear_graph("B"), 0).min_threshold == 0
 
 
 def test_verify_linear_family_small():
@@ -288,14 +291,13 @@ def test_verify_general_family_small():
 
 def test_sweep_failures_are_the_rows_above_the_threshold():
     # a sweep keeps no connected flag: its failures are exactly the rows
-    # whose min_threshold exceeds the sweep's threshold, each with the
-    # components verify_instance found
+    # whose min_threshold exceeds the sweep's threshold, each the record
+    # verify_instance returns for that row's graph
     r = verify_linear_family(5, threshold=1)
     above = [row.graph for row in r.stats if row.min_threshold > 1]
-    assert [f.path_set.graph for f in r.failures] == above and len(above) == 19
-    for f in r.failures:
-        assert len(f.components) > 1
-        assert f.components == verify_instance(f.path_set.graph, 1)[2]
+    assert len(above) == 19
+    assert r.failures == tuple(verify_instance(g, 1) for g in above)
+    assert all(len(f.components) > 1 and f.min_threshold > 1 for f in r.failures)
 
 
 def test_class_sweep_matches_the_instance_sweep():
