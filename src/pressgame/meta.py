@@ -138,12 +138,10 @@ class InstanceStats(NamedTuple):
 
 
 class Verified(NamedTuple):
-    """One verified instance: its path set, the least threshold that connects
-    its metagraph, and the metagraph's components at the gate threshold (a
-    disconnection witness when there is more than one)."""
+    """One verify_instance result: stats row, path set and gate components."""
 
+    stats: InstanceStats
     path_set: PathSet
-    min_threshold: int
     components: tuple[tuple[int, ...], ...]
 
 
@@ -165,11 +163,16 @@ class SweepReport:
 
 def verify_instance(g: BWGraph, k: int) -> Verified:
     """Enumerate one solvable graph and gate its metagraph at threshold k.
-    A negative k is rejected before any path is enumerated."""
+
+    Returns the stats row, the path set, and the metagraph components
+    (a disconnection witness when there is more than one).  A negative k
+    is rejected before any path is enumerated.
+    """
     if k < 0:
         raise ValueError("threshold must be non-negative")
     ps = enumerate_successful(g)
-    return Verified(ps, *connectivity(ps, k))
+    min_k, components = connectivity(ps, k)
+    return Verified(InstanceStats(g.n, g.colors, g.adj, len(ps.paths), min_k), ps, components)
 
 
 def _sweep(label: str, topologies, n_max: int, threshold: int) -> SweepReport:
@@ -180,29 +183,28 @@ def _sweep(label: str, topologies, n_max: int, threshold: int) -> SweepReport:
     c, shared only by isomorphic coloured graphs.  Colourings share their
     edge set's from_parts rows.  Each class is verified once per n (exact,
     see the module docstring) on a graph built as from_parts builds it, and
-    seen keeps its (path_count, min_threshold) for its members' rows.  Each
-    failing row is verified once more after the sweep, for a witness in its
-    own labels.  No cap is caught: the callers' n bounds keep every
-    instance under the default cap, and a CapExceededError would end the
-    sweep, loudly."""
+    seen keeps that stats row for its members' path_count and
+    min_threshold.  Each failing row is verified once more after the sweep,
+    for a witness in its own labels.  No cap is caught: the callers' n
+    bounds keep every instance under the default cap, and a
+    CapExceededError would end the sweep, loudly."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     stats: list[InstanceStats] = []
     for n in range(1, n_max + 1):
-        seen: dict = {}  # class key -> (path_count, min_threshold), or () (unsolvable)
+        seen: dict = {}  # class key -> its first member's stats row, or () (unsolvable)
         for edges, classes in topologies(n):
             adj = BWGraph.from_parts("W" * n, edges).adj
             for colors, key in enumerate(classes):
                 hit = seen.get(key)
                 if hit is None:
                     try:
-                        v = verify_instance(_unchecked(n, colors, adj), threshold)
-                        hit = len(v.path_set.paths), v.min_threshold
+                        hit = verify_instance(_unchecked(n, colors, adj), threshold).stats
                     except UnsolvableError:
                         hit = ()
                     seen[key] = hit
                 if hit:
-                    stats.append(InstanceStats(n, colors, adj, *hit))
+                    stats.append(InstanceStats(n, colors, adj, hit.path_count, hit.min_threshold))
     return SweepReport(
         family=f"{label}, n <= {n_max}",
         threshold=threshold,

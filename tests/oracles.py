@@ -32,7 +32,7 @@ from pressgame.errors import (
     PressOnWhiteError,
     UnsolvableError,
 )
-from pressgame.meta import InstanceStats, SweepReport, verify_instance
+from pressgame.meta import SweepReport, verify_instance
 from pressgame.paths import PathSet, PressingPath, find_safe_press, is_successful_path
 from pressgame.permrev import SignedPermutation
 from pressgame.sampler import proposal_probability
@@ -155,8 +155,8 @@ def instance_sweep(label, edge_lists, n_max, threshold):
             v = verify_instance(g, threshold)
         except UnsolvableError:
             continue
-        stats.append(InstanceStats(g.n, g.colors, g.adj, len(v.path_set.paths), v.min_threshold))
-        if v.min_threshold > threshold:
+        stats.append(v.stats)
+        if v.stats.min_threshold > threshold:
             failures.append(v)
     return SweepReport(
         family=f"{label}, n <= {n_max}",

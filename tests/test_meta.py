@@ -227,12 +227,12 @@ def test_kept_positions_put_close_drops_first():
 
 def test_verify_instance_examples():
     # a row is connected at threshold k exactly when k >= min_threshold
-    assert verify_instance(linear_graph("BBB"), 4).min_threshold <= 4
+    assert verify_instance(linear_graph("BBB"), 4).stats.min_threshold <= 4
     triangle = BWGraph.from_parts("BBB", [(0, 1), (1, 2), (0, 2)])
-    ps, min_k, components = verify_instance(triangle, 4)
-    assert min_k <= 4 and len(ps.paths) == 3
+    row, ps, components = verify_instance(triangle, 4)
+    assert row.min_threshold <= 4 and row.path_count == 3 == len(ps.paths)
     assert components == ((0, 1, 2),)
-    assert verify_instance(linear_graph("B"), 0).min_threshold == 0
+    assert verify_instance(linear_graph("B"), 0).stats.min_threshold == 0
 
 
 def test_verify_linear_family_small():
@@ -294,10 +294,10 @@ def test_sweep_failures_are_the_rows_above_the_threshold():
     # whose min_threshold exceeds the sweep's threshold, each the record
     # verify_instance returns for that row's graph
     r = verify_linear_family(5, threshold=1)
-    above = [row.graph for row in r.stats if row.min_threshold > 1]
-    assert len(above) == 19
-    assert r.failures == tuple(verify_instance(g, 1) for g in above)
-    assert all(len(f.components) > 1 and f.min_threshold > 1 for f in r.failures)
+    above = [row for row in r.stats if row.min_threshold > 1]
+    assert [f.stats for f in r.failures] == above and len(above) == 19
+    assert r.failures == tuple(verify_instance(row.graph, 1) for row in above)
+    assert all(len(f.components) > 1 for f in r.failures)
 
 
 def test_class_sweep_matches_the_instance_sweep():
