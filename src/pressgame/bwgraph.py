@@ -107,15 +107,21 @@ def _tile(pattern: int, width: int, total: int) -> int:
     return pattern
 
 
-@cache
-def _transpose_masks(w: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The delta swaps (shift, mask) that transpose a w x w bit matrix, w = 2^k, and
-    its diagonal: swap s moves each cell (r, c) with bit s in c, not r, to (r+s, c-s)."""
-    swaps = []
+def _transpose_masks(w: int) -> tuple[Iterable[tuple[int, int]], int]:
+    """The delta swaps (shift, mask) that transpose a w x w bit matrix, w = 2^k, and its
+    diagonal; kept up to w = 1024 (1.8 MB for all such w), past that (6 MB at 2048, x4
+    per doubling) each swap is built as the transpose reaches it and then dropped."""
+    return _kept_masks(w) if w <= 1024 else (_swaps(w), _tile(1, w + 1, w * w))
+
+
+def _swaps(w: int) -> Iterator[tuple[int, int]]:
+    """Swap s moves each cell (r, c) with bit s in c, not r, to (r+s, c-s)."""
     for s in (w >> k for k in range(1, w.bit_length())):  # cell (r, c) is bit r*w+c
         row = _tile(((1 << s) - 1) << s, 2 * s, w)  # the columns with bit s
-        swaps.append((s * (w - 1), _tile(_tile(row, w, s * w), 2 * s * w, w * w)))
-    return tuple(swaps), _tile(1, w + 1, w * w)
+        yield s * (w - 1), _tile(_tile(row, w, s * w), 2 * s * w, w * w)
+
+
+_kept_masks = cache(lambda w: (tuple(_swaps(w)), _tile(1, w + 1, w * w)))
 
 
 def _unchecked(n: int, colors: int, adj: tuple[int, ...]) -> BWGraph:

@@ -17,7 +17,8 @@ per line, and every other value compactly on its key's line, so one
 changed instance is one changed line.  A record list may be an iterator of
 records already encoded, each written as it comes: a sweep's failures go
 through _encode one at a time, and only its stats rows are encoded by hand,
-with one encoded edge list per edge set and one colour string per (n, mask).
+with one colour string per (n, mask) and one graph tail per edge set, looked
+up only when a row's adj is not the last row's.
 """
 
 from __future__ import annotations
@@ -114,22 +115,23 @@ def _pathset_payload(ps: PathSet) -> dict:
 
 
 def _sweep_payload(r: SweepReport) -> dict:
-    # a stats row is encoded into the bytes _encode gives its dict, with no dict built;
-    # rows share one encoded edge list per edge set and one colour string per (n, mask)
-    edge_json: dict[tuple[int, ...], str] = {}
-    color_str: dict[int, str] = {}  # colors | 1 << n -> the colour string
-
-    def row_record(row) -> str:
-        n, colors, adj, count, min_k = row
-        edges = edge_json.get(adj)
-        if edges is None:
-            edges = edge_json[adj] = _encode(row.graph.edges())
-        text = color_str.get(key := colors | 1 << n)
-        if text is None:
-            text = color_str[key] = row.graph.color_string()
-        return (f'{{"connected": {"true" if min_k <= r.threshold else "false"}, '
-                f'"graph": {{"colors": "{text}", "edges": {edges}, "n": {n}}}, '
-                f'"min_threshold": {min_k}, "path_count": {count}}}')
+    def stats_records():
+        # a stats row is encoded into the bytes _encode gives its dict, with no dict built;
+        # rows share one encoded graph tail per edge set and one colour string per (n, mask)
+        threshold, edge_json, color_str, last = r.threshold, {}, {}, None
+        for row in r.stats:
+            n, colors, adj, count, min_k = row
+            if adj is not last:  # _sweep gives every colouring of an edge set one adj
+                last = adj
+                mid = edge_json.get(adj)
+                if mid is None:
+                    mid = edge_json[adj] = (f'", "edges": {_encode(row.graph.edges())}, '
+                                            f'"n": {n}}}, "min_threshold": ')
+            text = color_str.get(key := colors | 1 << n)
+            if text is None:
+                text = color_str[key] = row.graph.color_string()
+            yield (f'{{"connected": {"true" if min_k <= threshold else "false"}, '
+                   f'"graph": {{"colors": "{text}{mid}{min_k}, "path_count": {count}}}')
 
     return {
         "family": r.family,
@@ -140,7 +142,7 @@ def _sweep_payload(r: SweepReport) -> dict:
             _encode({"components": f.components, "graph": _graph_payload(f.path_set.graph),
                      "paths": [format_path(p) for p in f.path_set.paths]}) for f in r.failures),
         "incomplete": [],  # no sweep is capped; kept so reports parse as before
-        "stats": map(row_record, r.stats),
+        "stats": stats_records(),
     }
 
 

@@ -13,9 +13,10 @@ Each member's row is its n, colour mask and adjacency rows plus its class's
 path count and min_threshold, so no other member builds a graph or any
 object but that tuple.  That is exact: a relabelling maps the successful
 paths one to one and keeps every LCS, so path count, min_threshold and
-solvability are class invariants.  Class keys come from the S_n orbits of
-edge masks, or from the path's reversal.  The failing rows are verified
-once more after the sweep, for witnesses in their own labels.
+solvability are class invariants.  Class keys come from the path's reversal
+or the S_n orbits of edge masks, each image a sum of itertools.compress over
+a permutation's image bits.  Failing rows are verified again after the
+sweep, for witnesses in their own labels.
 
 Edges are decided without comparing pairs.  Two paths of common length L
 have an LCS of at least L - k exactly when they share a subsequence of
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations, product
 from math import comb
 from operator import itemgetter
 from typing import NamedTuple
@@ -181,30 +182,32 @@ def _sweep(label: str, topologies, n_max: int, threshold: int) -> SweepReport:
     (bit v set means vertex v is black).  verify_instance rejects k < 0.
     topologies(n) yields (edges, classes), classes[c] the key of colour mask
     c, shared only by isomorphic coloured graphs.  Colourings share their
-    edge set's from_parts rows.  Each class is verified once per n (exact,
-    see the module docstring) on a graph built as from_parts builds it, and
-    seen keeps that stats row for its members' path_count and
-    min_threshold.  Each failing row is verified once more after the sweep,
-    for a witness in its own labels.  No cap is caught: the callers' n
-    bounds keep every instance under the default cap, and a
+    edge set's from_parts rows (one adj object).  Each class is verified once
+    per n (exact, see the module docstring) on a graph built as from_parts
+    builds it, and seen keeps its (path_count, min_threshold), the tail of
+    each member's row.  Each failing row is verified once more after the
+    sweep, for a witness in its own labels.  No cap is caught: the callers'
+    n bounds keep every instance under the default cap, and a
     CapExceededError would end the sweep, loudly."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     stats: list[InstanceStats] = []
+    new = tuple.__new__  # a row without InstanceStats.__new__'s argument parsing
     for n in range(1, n_max + 1):
-        seen: dict = {}  # class key -> its first member's stats row, or () (unsolvable)
+        seen: dict = {}  # class key -> (path_count, min_threshold), or () (unsolvable)
         for edges, classes in topologies(n):
             adj = BWGraph.from_parts("W" * n, edges).adj
             for colors, key in enumerate(classes):
-                hit = seen.get(key)
-                if hit is None:
+                tail = seen.get(key)
+                if tail is None:
                     try:
-                        hit = verify_instance(_unchecked(n, colors, adj), threshold).stats
+                        row = verify_instance(_unchecked(n, colors, adj), threshold).stats
+                        tail = row.path_count, row.min_threshold
                     except UnsolvableError:
-                        hit = ()
-                    seen[key] = hit
-                if hit:
-                    stats.append(InstanceStats(n, colors, adj, hit.path_count, hit.min_threshold))
+                        tail = ()
+                    seen[key] = tail
+                if tail:
+                    stats.append(new(InstanceStats, (n, colors, adj, *tail)))
     return SweepReport(
         family=f"{label}, n <= {n_max}",
         threshold=threshold,
@@ -221,27 +224,28 @@ def _edge_sets(n: int):
     p's inverse, which pulls a colouring of U back onto R, and the key of
     (U, c) is R with the least image of that pullback under R's automorphisms."""
     pairs = list(combinations(range(n), 2))
-    bit = {pair: b for b, pair in enumerate(pairs)}
+    bit = {pair: 1 << b for b, pair in enumerate(pairs)}
     perms = list(permutations(range(n)))
-    edge_maps = [[bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs] for p in perms]
-    color_maps = [[sum(1 << u for u in range(n) if c >> p[u] & 1) for c in range(1 << n)]
-                  for p in perms]
+    edge_bits = [[bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs] for p in perms]
+    pulls = [[1 << u for u in sorted(range(n), key=p.__getitem__)] for p in perms]  # p(u) -> u
+    colourings = [[c >> v & 1 for v in range(n)] for c in range(1 << n)]
+    color_maps = [[sum(compress(pull, c)) for c in colourings] for pull in pulls]
     orbit: dict[int, tuple[int, list[int]]] = {}  # mask -> (R, colour map onto R)
-    canon: dict[int, list[int]] = {}  # R -> least automorphic image of each colour mask
+    canon: dict[int, list[tuple[int, int]]] = {}  # R -> class key of each colour mask of R
     for rep in range(1 << len(pairs)):
         if rep in orbit:
             continue
+        rep_bits = [rep >> b & 1 for b in range(len(pairs))]
         autos = []
-        for edge_map, color_map in zip(edge_maps, color_maps):
-            image = sum(1 << edge_map[b] for b in range(len(pairs)) if rep >> b & 1)
+        for bits, color_map in zip(edge_bits, color_maps):
+            image = sum(compress(bits, rep_bits))
             if image == rep:
                 autos.append(color_map)
             orbit.setdefault(image, (rep, color_map))
-        canon[rep] = [min(a[c] for a in autos) for c in range(1 << n)]
-    for mask in range(1 << len(pairs)):
+        canon[rep] = [(rep, v) for v in map(min, zip(*autos))]
+    for mask, high_first in enumerate(product((0, 1), repeat=len(pairs))):
         rep, color_map = orbit[mask]
-        edges = [pair for b, pair in enumerate(pairs) if mask >> b & 1]
-        yield edges, [(rep, canon[rep][color_map[c]]) for c in range(1 << n)]
+        yield list(compress(pairs, high_first[::-1])), list(map(canon[rep].__getitem__, color_map))
 
 
 def _path(n: int):

@@ -142,7 +142,8 @@ def dfs_enumerate(g: BWGraph, cap: int) -> PathSet:
 
 # ---------------------------------------------------------------------------
 # The sweep one instance at a time (the package verifies each coloured
-# isomorphism class once per n), and brute-force canonical forms.
+# isomorphism class once per n), brute-force canonical forms, and the class
+# keys with every bit tested in Python.
 
 def instance_sweep(label, edge_lists, n_max, threshold):
     """The sweep report by verify_instance on every instance with 1..n_max
@@ -186,6 +187,35 @@ def canonical_form(g: BWGraph):
         if best is None or rows < best:
             best = rows
     return (1 << len(blacks)) - 1, best
+
+
+def orbit_edge_sets(n: int):
+    """meta._edge_sets with every image bit tested in Python: each edge set on
+    0..n-1 in ascending edge-mask order, with the class key (R, least
+    automorphic image of the colouring pulled back onto R) of each colour mask,
+    R the least mask of the edge set's S_n orbit."""
+    pairs = list(itertools.combinations(range(n), 2))
+    bit = {pair: b for b, pair in enumerate(pairs)}
+    perms = list(itertools.permutations(range(n)))
+    edge_maps = [[bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs] for p in perms]
+    color_maps = [[sum(1 << u for u in range(n) if c >> p[u] & 1) for c in range(1 << n)]
+                  for p in perms]
+    orbit: dict[int, tuple[int, list[int]]] = {}  # mask -> (R, colour map onto R)
+    canon: dict[int, list[int]] = {}  # R -> least automorphic image of each colour mask
+    for rep in range(1 << len(pairs)):
+        if rep in orbit:
+            continue
+        autos = []
+        for edge_map, color_map in zip(edge_maps, color_maps):
+            image = sum(1 << edge_map[b] for b in range(len(pairs)) if rep >> b & 1)
+            if image == rep:
+                autos.append(color_map)
+            orbit.setdefault(image, (rep, color_map))
+        canon[rep] = [min(a[c] for a in autos) for c in range(1 << n)]
+    for mask in range(1 << len(pairs)):
+        rep, color_map = orbit[mask]
+        edges = [pair for b, pair in enumerate(pairs) if mask >> b & 1]
+        yield edges, [(rep, canon[rep][color_map[c]]) for c in range(1 << n)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,21 @@ def test_transpose_masks_match_cellwise_oracle():
     # the masks are tiled by doubling; the oracle sets one cell at a time
     for k in range(8):
         assert bwgraph._transpose_masks(1 << k) == cellwise_transpose_masks(1 << k)
+
+
+def test_transpose_masks_past_width_1024_are_not_kept():
+    # the masks for w <= 1024 (about 1.8 MB for all) stay for the process; the
+    # check of a 1,100-vertex graph (w = 2048) builds its 11 masks, 6 MB in all,
+    # one swap at a time, and none is left after it (w = 16384 once kept 416 MB)
+    assert bwgraph._transpose_masks(32) is bwgraph._transpose_masks(32)
+    assert bwgraph._transpose_masks(2048) is not bwgraph._transpose_masks(2048)
+    tracemalloc.start()
+    try:
+        BWGraph(1_100, 0, (0,) * 1_100)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000 and 1_000_000 < peak < 4_000_000, (held, peak)
 
 
 def test_constructor_checks_an_8001_vertex_overlap_graph_in_a_fresh_process():

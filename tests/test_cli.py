@@ -16,9 +16,9 @@ import pytest
 
 import pressgame
 from pressgame.bwgraph import format_graph, linear_graph
-from pressgame.cli import _sweep_payload, _write_json, load_graph, main, write_report
+from pressgame.cli import _encode, _sweep_payload, _write_json, load_graph, main, write_report
 from pressgame.errors import CapExceededError, GraphParseError, SelfLoopError
-from pressgame.meta import verify_general_family, verify_linear_family
+from pressgame.meta import InstanceStats, SweepReport, verify_general_family, verify_linear_family
 from pressgame.paths import DEFAULT_CAP
 from pressgame.permrev import SignedPermutation, build_dr, build_overlap, parse_signed_permutation
 from pressgame.sampler import run_chain
@@ -436,6 +436,25 @@ def test_sweep_rows_are_the_bytes_of_the_dict_rows(capsys, tmp_path, monkeypatch
                   if a != b), None)
     assert first is None
     assert text == dicts
+
+
+def test_hand_built_rows_with_equal_distinct_adj_are_the_dict_bytes(tmp_path):
+    # a sweep gives each edge set's rows one adj object, and the encoder looks an
+    # edge set up again only when adj is not the last row's; rows built by hand
+    # that interleave two edge sets, with equal adj tuples that are distinct
+    # objects, must still be written as the dicts they stand for
+    path, path_copy = tuple([2, 5, 2]), tuple([2, 5, 2])  # 0-1-2
+    star, star_copy = tuple([6, 1, 1]), tuple([6, 1, 1])  # 1-0-2
+    assert path == path_copy and path is not path_copy and star is not star_copy
+    rows = [InstanceStats(3, colors, adj, count, min_k) for colors, adj, count, min_k in (
+        (1, path, 2, 0), (1, star, 1, 1), (3, path_copy, 4, 2), (5, star, 1, 0),
+        (1, path, 2, 0), (4, star_copy, 2, 3), (2, path_copy, 1, 0))]
+    r = SweepReport(family="hand-built", threshold=1, stats=tuple(rows), failures=())
+    write_report(_sweep_payload(r), str(tmp_path / "r.json"))
+    lines = (tmp_path / "r.json").read_text().splitlines()
+    start = lines.index('  "stats": [') + 1
+    assert [line.strip().removesuffix(",") for line in lines[start:start + len(rows) + 1]] == [
+        *map(_encode, sweep_payload(r)["stats"]), "]"]
 
 
 def test_sweep_rows_are_read_as_they_are_written(tmp_path):

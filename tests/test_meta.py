@@ -23,6 +23,7 @@ from oracles import (
     canonical_form,
     instance_sweep,
     lcs_distinct,
+    orbit_edge_sets,
     pairwise_lcs_gate,
     recursive_lcs,
     union_find_components,
@@ -333,9 +334,17 @@ def test_class_keys_are_the_isomorphism_classes():
 
 def test_class_key_counts_are_the_coloured_graph_counts():
     # coloured graphs on n vertices (OEIS A000666) and graphs (A000088)
-    for n, classes, graphs in ((1, 2, 1), (2, 6, 2), (3, 20, 4), (4, 90, 11), (5, 544, 34)):
+    for n, classes, graphs in ((1, 2, 1), (2, 6, 2), (3, 20, 4), (4, 90, 11), (5, 544, 34),
+                               (6, 5_096, 156)):
         keys = {key for _, keys in meta._edge_sets(n) for key in keys}
         assert (len(keys), len({rep for rep, _ in keys})) == (classes, graphs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_edge_sets_match_the_bitwise_orbit_oracle(n):
+    # the orbit images and colour maps summed from compress tables must give the
+    # edge lists, class keys and order of the loop that tests each bit
+    assert list(meta._edge_sets(n)) == list(orbit_edge_sets(n))
 
 
 def test_sweeps_call_verify_instance_once_per_class(monkeypatch):
