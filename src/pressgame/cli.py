@@ -17,8 +17,8 @@ per line, and every other value compactly on its key's line, so one
 changed instance is one changed line.  A record list may be an iterator of
 records already encoded, each written as it comes: a sweep's failures go
 through _encode one at a time, and only its stats rows are encoded by hand,
-with one colour string per (n, mask) and one graph tail per edge set, looked
-up only when a row's adj is not the last row's.
+with one colour string per (n, mask) and one graph tail per run of rows with
+equal adj, encoded again only when adj differs in value from the last row's.
 """
 
 from __future__ import annotations
@@ -117,16 +117,13 @@ def _pathset_payload(ps: PathSet) -> dict:
 def _sweep_payload(r: SweepReport) -> dict:
     def stats_records():
         # a stats row is encoded into the bytes _encode gives its dict, with no dict built;
-        # rows share one encoded graph tail per edge set and one colour string per (n, mask)
-        threshold, edge_json, color_str, last = r.threshold, {}, {}, None
+        # a run of rows with equal adj shares one graph tail, and (n, mask) one colour string
+        threshold, color_str, last = r.threshold, {}, None
         for row in r.stats:
             n, colors, adj, count, min_k = row
-            if adj is not last:  # _sweep gives every colouring of an edge set one adj
+            if adj != last:
                 last = adj
-                mid = edge_json.get(adj)
-                if mid is None:
-                    mid = edge_json[adj] = (f'", "edges": {_encode(row.graph.edges())}, '
-                                            f'"n": {n}}}, "min_threshold": ')
+                mid = f'", "edges": {_encode(row.graph.edges())}, "n": {n}}}, "min_threshold": '
             text = color_str.get(key := colors | 1 << n)
             if text is None:
                 text = color_str[key] = row.graph.color_string()

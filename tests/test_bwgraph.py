@@ -273,17 +273,24 @@ def test_row_check_oracle_catches_a_transpose_cut_short(monkeypatch):
 
 
 def test_transpose_masks_match_cellwise_oracle():
-    # the masks are tiled by doubling; the oracle sets one cell at a time
+    # the masks are tiled by doubling; the oracle sets one cell at a time; both
+    # are compared in hex, since a failure's repr of an int past 4,300 decimal
+    # digits (w = 128 masks have 16,384 bits) would raise instead of showing it
+    def shown(masks):
+        swaps, diagonal = masks
+        return [(shift, hex(mask)) for shift, mask in swaps], hex(diagonal)
+
     for k in range(8):
-        assert bwgraph._transpose_masks(1 << k) == cellwise_transpose_masks(1 << k)
+        assert shown(bwgraph._transpose_masks(1 << k)) == shown(cellwise_transpose_masks(1 << k))
 
 
 def test_transpose_masks_past_width_1024_are_not_kept():
     # the masks for w <= 1024 (about 1.8 MB for all) stay for the process; the
     # check of a 1,100-vertex graph (w = 2048) builds its 11 masks, 6 MB in all,
     # one swap at a time, and none is left after it (w = 16384 once kept 416 MB)
-    assert bwgraph._transpose_masks(32) is bwgraph._transpose_masks(32)
-    assert bwgraph._transpose_masks(2048) is not bwgraph._transpose_masks(2048)
+    # compared as bools, which a failure can show, unlike a 4,194,304-bit mask
+    kept, wide = (bwgraph._transpose_masks(w) is bwgraph._transpose_masks(w) for w in (32, 2048))
+    assert kept and not wide
     tracemalloc.start()
     try:
         BWGraph(1_100, 0, (0,) * 1_100)

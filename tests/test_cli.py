@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import pressgame
-from pressgame.bwgraph import format_graph, linear_graph
+from pressgame.bwgraph import BWGraph, format_graph, linear_graph
 from pressgame.cli import _encode, _sweep_payload, _write_json, load_graph, main, write_report
 from pressgame.errors import CapExceededError, GraphParseError, SelfLoopError
 from pressgame.meta import InstanceStats, SweepReport, verify_general_family, verify_linear_family
@@ -439,10 +439,10 @@ def test_sweep_rows_are_the_bytes_of_the_dict_rows(capsys, tmp_path, monkeypatch
 
 
 def test_hand_built_rows_with_equal_distinct_adj_are_the_dict_bytes(tmp_path):
-    # a sweep gives each edge set's rows one adj object, and the encoder looks an
-    # edge set up again only when adj is not the last row's; rows built by hand
-    # that interleave two edge sets, with equal adj tuples that are distinct
-    # objects, must still be written as the dicts they stand for
+    # the encoder encodes a row's edge list again only when its adj differs, by
+    # value, from the last row's; rows built by hand that interleave two edge
+    # sets, with equal adj tuples that are distinct objects, must still be
+    # written as the dicts they stand for
     path, path_copy = tuple([2, 5, 2]), tuple([2, 5, 2])  # 0-1-2
     star, star_copy = tuple([6, 1, 1]), tuple([6, 1, 1])  # 1-0-2
     assert path == path_copy and path is not path_copy and star is not star_copy
@@ -455,6 +455,19 @@ def test_hand_built_rows_with_equal_distinct_adj_are_the_dict_bytes(tmp_path):
     start = lines.index('  "stats": [') + 1
     assert [line.strip().removesuffix(",") for line in lines[start:start + len(rows) + 1]] == [
         *map(_encode, sweep_payload(r)["stats"]), "]"]
+
+
+@pytest.mark.parametrize("sweep, n_max, edge_sets", [
+    (verify_general_family, 4, 75), (verify_linear_family, 7, 7)], ids=["general-4", "linear-7"])
+def test_stats_rows_list_each_edge_set_once(monkeypatch, sweep, n_max, edge_sets):
+    # a sweep gives an edge set's rows one after another, so the stats rows
+    # list the edges of each distinct adj once, not once per row
+    r = sweep(n_max)
+    assert len({row.adj for row in r.stats}) == edge_sets < len(r.stats)
+    edges, calls = BWGraph.edges, []
+    monkeypatch.setattr(BWGraph, "edges", lambda g: calls.append(g.adj) or edges(g))
+    assert sum(1 for _ in _sweep_payload(r)["stats"]) == len(r.stats)
+    assert len(calls) == edge_sets
 
 
 def test_sweep_rows_are_read_as_they_are_written(tmp_path):

@@ -108,11 +108,24 @@ def test_readme_command_line_block_prints_what_it_shows(capsys):
     assert len(examples) == 6
 
 
+def _readme_graph_text() -> str:
+    readme = (ROOT / "README.md").read_text()
+    return re.search(r"^## Graph text format\n.*?^```\n(.*?)^```", readme, re.S | re.M).group(1)
+
+
 def test_readme_graph_text_block_round_trips():
     # the block under "Graph text format" is the linear graph BWB, and
     # format_graph writes it back byte for byte
-    readme = (ROOT / "README.md").read_text()
-    block = re.search(r"^## Graph text format\n.*?^```\n(.*?)^```", readme, re.S | re.M).group(1)
+    block = _readme_graph_text()
     g = parse_graph(block)
     assert g == linear_graph("BWB")
     assert format_graph(g) == block
+
+
+def test_readme_graph_text_file_enumerates(capsys, tmp_path):
+    # the block under "Graph text format", written to a file, is a graph file
+    # that `pressgame enumerate` reads and prints the four paths of
+    path = tmp_path / "graph.txt"
+    path.write_text(_readme_graph_text())
+    assert main(["enumerate", str(path)]) == 0
+    assert capsys.readouterr().out == "4 paths of common length 2\n0 1\n0 2\n2 0\n2 1\n"
