@@ -16,9 +16,8 @@ such as a sweep's stats rows and failures, is written one compact record
 per line, and every other value compactly on its key's line, so one
 changed instance is one changed line.  A record list may be an iterator of
 records already encoded, each written as it comes: a sweep's failures go
-through _encode one at a time, and only its stats rows are encoded by hand,
-with one colour string per (n, mask) and one graph tail per run of rows with
-equal adj, encoded again only when adj differs in value from the last row's.
+through _encode one at a time, and its stats rows are encoded by hand from
+its members: one graph tail per edge set, one colour string per (n, mask).
 """
 
 from __future__ import annotations
@@ -116,19 +115,18 @@ def _pathset_payload(ps: PathSet) -> dict:
 
 def _sweep_payload(r: SweepReport) -> dict:
     def stats_records():
-        # a stats row is encoded into the bytes _encode gives its dict, with no dict built;
-        # a run of rows with equal adj shares one graph tail, and (n, mask) one colour string
-        threshold, color_str, last = r.threshold, {}, None
-        for row in r.stats:
-            n, colors, adj, count, min_k = row
-            if adj != last:
-                last = adj
-                mid = f'", "edges": {_encode(row.graph.edges())}, "n": {n}}}, "min_threshold": '
-            text = color_str.get(key := colors | 1 << n)
-            if text is None:
-                text = color_str[key] = row.graph.color_string()
-            yield (f'{{"connected": {"true" if min_k <= threshold else "false"}, '
-                   f'"graph": {{"colors": "{text}{mid}{min_k}, "path_count": {count}}}')
+        # a stats row is encoded into the bytes _encode gives its dict, with no dict built
+        threshold, color_str = r.threshold, {}
+        for g, tails in r.members:
+            mid = f'", "edges": {_encode(g.edges())}, "n": {g.n}}}, "min_threshold": '
+            for colors, tail in enumerate(tails):
+                if tail:
+                    text = color_str.get(key := colors | 1 << g.n)
+                    if text is None:
+                        text = color_str[key] = BWGraph(g.n, colors, g.adj).color_string()
+                    count, min_k = tail
+                    yield (f'{{"connected": {"true" if min_k <= threshold else "false"}, '
+                           f'"graph": {{"colors": "{text}{mid}{min_k}, "path_count": {count}}}')
 
     return {
         "family": r.family,

@@ -8,14 +8,14 @@ whole graph families: all linear graphs up to n_max at threshold 2, and all
 labeled graphs up to n_max at threshold 4.  Instances come by n, then
 edge list (labeled graphs: ascending edge mask over combinations(range(n),
 2)), then colour mask ascending, bit v set meaning vertex v is black.
-Within each n a sweep verifies one instance per coloured isomorphism class.
-Each member's row is its n, colour mask and adjacency rows plus its class's
-path count and min_threshold, so no other member builds a graph or any
-object but that tuple.  That is exact: a relabelling maps the successful
+Within each n a sweep verifies one instance per coloured isomorphism class,
+and keeps per edge set its all-white graph and, per colour mask, the class
+tail (path_count, min_threshold), or () when unsolvable: no other member
+builds a graph or a row.  That is exact: a relabelling maps the successful
 paths one to one and keeps every LCS, so path count, min_threshold and
 solvability are class invariants.  Class keys come from the path's reversal
 or the S_n orbits of edge masks, each image a sum of itertools.compress over
-a permutation's image bits.  Failing rows are verified again after the
+a permutation's image bits.  Failing members are verified again after the
 sweep, for witnesses in their own labels.
 
 Edges are decided without comparing pairs.  Two paths of common length L
@@ -148,14 +148,21 @@ class Verified(NamedTuple):
 
 @dataclass(frozen=True)
 class SweepReport:
+    """members: per edge set in sweep order, its all-white graph g and tails."""
+
     family: str
     threshold: int
-    stats: tuple[InstanceStats, ...]
+    members: tuple[tuple[BWGraph, tuple[tuple[int, ...], ...]], ...]
     failures: tuple[Verified, ...]
 
     @property
+    def stats(self) -> tuple[InstanceStats, ...]:
+        return tuple(InstanceStats(g.n, colors, g.adj, *tail) for g, tails in self.members
+                     for colors, tail in enumerate(tails) if tail)
+
+    @property
     def instances_checked(self) -> int:
-        return len(self.stats)
+        return sum(len(tails) - tails.count(()) for _, tails in self.members)
 
     @property
     def verdict(self) -> str:
@@ -181,39 +188,34 @@ def _sweep(label: str, topologies, n_max: int, threshold: int) -> SweepReport:
     topologies(n): by n, then edge list in order, then colour mask ascending
     (bit v set means vertex v is black).  verify_instance rejects k < 0.
     topologies(n) yields (edges, classes), classes[c] the key of colour mask
-    c, shared only by isomorphic coloured graphs.  Colourings share their
-    edge set's from_parts rows (one adj object).  Each class is verified once
-    per n (exact, see the module docstring) on a graph built as from_parts
-    builds it, and seen keeps its (path_count, min_threshold), the tail of
-    each member's row.  Each failing row is verified once more after the
-    sweep, for a witness in its own labels.  No cap is caught: the callers'
-    n bounds keep every instance under the default cap, and a
-    CapExceededError would end the sweep, loudly."""
+    c, shared only by isomorphic coloured graphs.  Each class is verified
+    once per n (exact, see the module docstring) on a graph with the rows of
+    the edge set's from_parts graph, and seen keeps its tail.  Each failing
+    member is verified once more after the sweep, for a witness in its own
+    labels.  No cap is caught: the callers' n bounds keep every instance
+    under the default cap, and a CapExceededError would end the sweep, loudly."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    stats: list[InstanceStats] = []
-    new = tuple.__new__  # a row without InstanceStats.__new__'s argument parsing
+    members = []
     for n in range(1, n_max + 1):
         seen: dict = {}  # class key -> (path_count, min_threshold), or () (unsolvable)
         for edges, classes in topologies(n):
-            adj = BWGraph.from_parts("W" * n, edges).adj
+            g = BWGraph.from_parts("W" * n, edges)
             for colors, key in enumerate(classes):
-                tail = seen.get(key)
-                if tail is None:
+                if key not in seen:
                     try:
-                        row = verify_instance(_unchecked(n, colors, adj), threshold).stats
-                        tail = row.path_count, row.min_threshold
+                        row = verify_instance(_unchecked(n, colors, g.adj), threshold).stats
+                        seen[key] = row.path_count, row.min_threshold
                     except UnsolvableError:
-                        tail = ()
-                    seen[key] = tail
-                if tail:
-                    stats.append(new(InstanceStats, (n, colors, adj, *tail)))
+                        seen[key] = ()
+            members.append((g, tuple(map(seen.__getitem__, classes))))
     return SweepReport(
         family=f"{label}, n <= {n_max}",
         threshold=threshold,
-        stats=tuple(stats),
-        failures=tuple(verify_instance(row.graph, threshold)
-                       for row in stats if row.min_threshold > threshold),
+        members=tuple(members),
+        failures=tuple(verify_instance(_unchecked(g.n, colors, g.adj), threshold)
+                       for g, tails in members for colors, tail in enumerate(tails)
+                       if tail and tail[1] > threshold),
     )
 
 

@@ -14,6 +14,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from pressgame.bwgraph import (
     BWGraph,
@@ -145,8 +146,15 @@ def dfs_enumerate(g: BWGraph, cap: int) -> PathSet:
 # isomorphism class once per n), brute-force canonical forms, and the class
 # keys with every bit tested in Python.
 
+class InstanceSweep(NamedTuple):
+    family: str
+    threshold: int
+    stats: tuple
+    failures: tuple
+
+
 def instance_sweep(label, edge_lists, n_max, threshold):
-    """The sweep report by verify_instance on every instance with 1..n_max
+    """The sweep's fields by verify_instance on every instance with 1..n_max
     vertices whose edge list is in edge_lists(n), in sweep order."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -159,12 +167,7 @@ def instance_sweep(label, edge_lists, n_max, threshold):
         stats.append(v.stats)
         if v.stats.min_threshold > threshold:
             failures.append(v)
-    return SweepReport(
-        family=f"{label}, n <= {n_max}",
-        threshold=threshold,
-        stats=tuple(stats),
-        failures=tuple(failures),
-    )
+    return InstanceSweep(f"{label}, n <= {n_max}", threshold, tuple(stats), tuple(failures))
 
 
 def canonical_form(g: BWGraph):

@@ -18,7 +18,7 @@ import pressgame
 from pressgame.bwgraph import BWGraph, format_graph, linear_graph
 from pressgame.cli import _encode, _sweep_payload, _write_json, load_graph, main, write_report
 from pressgame.errors import CapExceededError, GraphParseError, SelfLoopError
-from pressgame.meta import InstanceStats, SweepReport, verify_general_family, verify_linear_family
+from pressgame.meta import SweepReport, verify_general_family, verify_linear_family
 from pressgame.paths import DEFAULT_CAP
 from pressgame.permrev import SignedPermutation, build_dr, build_overlap, parse_signed_permutation
 from pressgame.sampler import run_chain
@@ -104,6 +104,32 @@ def test_overlap_of_a_700_element_permutation_in_a_fresh_process():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == format_graph(interval_overlap(build_dr(p)))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("report", [False, True], ids=["stdout", "report"])
+def test_labelled_n_6_sweep_stays_small_in_a_fresh_process(tmp_path, report):
+    # the sweep keeps a graph per edge set and a class tail per colouring, not
+    # a row per member: 2,069,969 member rows would take about 200 MB.  The peak is
+    # the child's VmHWM (kB): Linux carries ru_maxrss over exec, so that would
+    # read at least the forking test process's own resident size
+    src = Path(pressgame.__file__).parents[1]
+    script = ("import sys; from pressgame.cli import main; code = main(sys.argv[1:]); "
+              "print(code, *next(line.split()[1:2] for line in open('/proc/self/status') "
+              "if line.startswith('VmHWM:')))")
+    argv = ["verify-general", "--n-max", "6", *(["--report", str(tmp_path / "r.json")] * report)]
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    head, *_, last = done.stdout.splitlines()
+    assert head == "PASS: 2069969 solvable instances at threshold 4 (all labeled graphs, n <= 6)"
+    code, peak_kib = map(int, last.split())
+    assert code == 0 and peak_kib < 120 * 1024, peak_kib
+    if report:  # line by line: the report is hundreds of MB
+        with open(tmp_path / "r.json") as fh:
+            assert '    "instances_checked": 2069969,\n' in fh
 
 
 def test_enumerate_example(capsys):
@@ -439,29 +465,32 @@ def test_sweep_rows_are_the_bytes_of_the_dict_rows(capsys, tmp_path, monkeypatch
 
 
 def test_hand_built_rows_with_equal_distinct_adj_are_the_dict_bytes(tmp_path):
-    # the encoder encodes a row's edge list again only when its adj differs, by
-    # value, from the last row's; rows built by hand that interleave two edge
-    # sets, with equal adj tuples that are distinct objects, must still be
-    # written as the dicts they stand for
-    path, path_copy = tuple([2, 5, 2]), tuple([2, 5, 2])  # 0-1-2
-    star, star_copy = tuple([6, 1, 1]), tuple([6, 1, 1])  # 1-0-2
+    # the encoder encodes each member's edge list and keeps colour strings by
+    # (n, mask); members built by hand that interleave two edge sets, with
+    # equal graphs that are distinct objects and () tails for unsolvable
+    # colourings, must still be written as the rows' dicts
+    path, path_copy = (BWGraph.from_parts("WWW", [(0, 1), (1, 2)]) for _ in range(2))
+    star, star_copy = (BWGraph.from_parts("WWW", [(1, 0), (0, 2)]) for _ in range(2))
     assert path == path_copy and path is not path_copy and star is not star_copy
-    rows = [InstanceStats(3, colors, adj, count, min_k) for colors, adj, count, min_k in (
-        (1, path, 2, 0), (1, star, 1, 1), (3, path_copy, 4, 2), (5, star, 1, 0),
-        (1, path, 2, 0), (4, star_copy, 2, 3), (2, path_copy, 1, 0))]
-    r = SweepReport(family="hand-built", threshold=1, stats=tuple(rows), failures=())
+    assert path.adj is not path_copy.adj
+    members = ((path, ((), (2, 0), (), (4, 2), (), (), (), ())),
+               (star, ((), (1, 1), (), (), (), (1, 0), (), ())),
+               (path_copy, ((), (2, 0), (1, 0), (), (), (), (), ())),
+               (star_copy, ((), (), (), (), (2, 3), (), (), ())))
+    r = SweepReport(family="hand-built", threshold=1, members=members, failures=())
+    assert r.instances_checked == len(r.stats) == 7
     write_report(_sweep_payload(r), str(tmp_path / "r.json"))
     lines = (tmp_path / "r.json").read_text().splitlines()
     start = lines.index('  "stats": [') + 1
-    assert [line.strip().removesuffix(",") for line in lines[start:start + len(rows) + 1]] == [
+    assert [line.strip().removesuffix(",") for line in lines[start:start + len(r.stats) + 1]] == [
         *map(_encode, sweep_payload(r)["stats"]), "]"]
 
 
 @pytest.mark.parametrize("sweep, n_max, edge_sets", [
     (verify_general_family, 4, 75), (verify_linear_family, 7, 7)], ids=["general-4", "linear-7"])
 def test_stats_rows_list_each_edge_set_once(monkeypatch, sweep, n_max, edge_sets):
-    # a sweep gives an edge set's rows one after another, so the stats rows
-    # list the edges of each distinct adj once, not once per row
+    # a sweep keeps one graph per edge set, so the stats rows list the edges
+    # of each edge set once, not once per row
     r = sweep(n_max)
     assert len({row.adj for row in r.stats}) == edge_sets < len(r.stats)
     edges, calls = BWGraph.edges, []
@@ -471,31 +500,34 @@ def test_stats_rows_list_each_edge_set_once(monkeypatch, sweep, n_max, edge_sets
 
 
 def test_sweep_rows_are_read_as_they_are_written(tmp_path):
-    # the payload holds no record's text: each stats row and each failure is
-    # read only when its record is written, so a report never holds every
-    # encoded record at once (a failing labelled n <= 6 sweep at threshold 1
-    # has 1,503,963 failures)
-    class CountedRows(tuple):
+    # the payload holds no record's text: each member and each failure is
+    # read only when its first record is written, so a report never holds
+    # every encoded record at once (a failing labelled n <= 6 sweep at
+    # threshold 1 has 1,503,963 failures); the one pass before writing is
+    # instances_checked, written ahead of the rows, which keeps no member
+    class Counted(tuple):
         read = 0
 
         def __iter__(self):
-            for row in super().__iter__():
+            for item in super().__iter__():
                 self.read += 1
-                yield row
+                yield item
 
     r = verify_linear_family(5, 1)
-    rows, fails = CountedRows(r.stats), CountedRows(r.failures)
-    payload = _sweep_payload(dataclasses.replace(r, stats=rows, failures=fails))
-    assert (rows.read, fails.read) == (0, 0)
-    written = []  # (rows read, failures read, text) per write
+    members, fails = Counted(r.members), Counted(r.failures)
+    payload = _sweep_payload(dataclasses.replace(r, members=members, failures=fails))
+    assert (members.read, fails.read) == (len(r.members), 0)
+    members.read = 0
+    written = []  # (members read, failures read, text) per write
 
     class Sink:
         def write(self, text):
-            written.append((rows.read, fails.read, text))
+            written.append((members.read, fails.read, text))
 
     _write_json(Sink(), payload, "")
     records = [read for read, _, text in written if '"path_count"' in text]
-    assert records == list(range(1, len(r.stats) + 1))
+    assert records == [i for i, (_, tails) in enumerate(r.members, 1) for tail in tails if tail]
+    assert len(records) == len(r.stats) and set(records) == {1, 2, 3, 4, 5}
     failures = [read for _, read, text in written if '"components"' in text]
     assert failures == list(range(1, len(r.failures) + 1)) and len(failures) == 19
     write_report(_sweep_payload(r), str(tmp_path / "r.json"))

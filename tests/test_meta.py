@@ -303,17 +303,35 @@ def test_sweep_failures_are_the_rows_above_the_threshold():
 
 def test_class_sweep_matches_the_instance_sweep():
     # each coloured isomorphism class is verified once, and every member's
-    # row and failure witness must equal its own verification
+    # row and failure witness must equal its own verification; the count of
+    # non-empty tails and the verdict must be read off the oracle's rows
     cases = [(verify_general_family, "all labeled graphs", labeled_edge_lists, 4, k)
              for k in range(5)]
     cases += [(verify_linear_family, "linear graphs", linear_edge_lists, 8, k)
               for k in range(4)]
     failures = 0
     for sweep, label, edge_lists, n_max, k in cases:
-        report = sweep(n_max, k)
-        assert report == instance_sweep(label, edge_lists, n_max, k)
+        report, oracle = sweep(n_max, k), instance_sweep(label, edge_lists, n_max, k)
+        assert (report.family, report.threshold, report.stats, report.failures) == oracle
+        assert report.verdict == ("FAIL" if oracle.failures else "PASS")
+        assert report.instances_checked == len(oracle.stats)
         failures += len(report.failures)
     assert failures  # failure witnesses were compared
+
+
+def test_sweep_members_cover_every_graph():
+    # a sweep keeps one all-white graph per edge set and one tail per colour
+    # mask, () for an unsolvable colouring, so the tails of each n count every
+    # graph of the family on n vertices, and the non-empty ones are the rows
+    for r, n_max, graphs in ((verify_general_family(5), 5, lambda n: 2 ** (math.comb(n, 2) + n)),
+                             (verify_linear_family(8), 8, lambda n: 2 ** n)):
+        tails_of = dict.fromkeys(range(1, n_max + 1), 0)
+        for g, tails in r.members:
+            assert g.colors == 0 and len(tails) == 1 << g.n
+            tails_of[g.n] += len(tails)
+        assert tails_of == {n: graphs(n) for n in range(1, n_max + 1)}
+        solvable = sum(1 for _, tails in r.members for tail in tails if tail)
+        assert r.instances_checked == len(r.stats) == solvable
 
 
 def _instances(topologies, n):
