@@ -41,7 +41,7 @@ def _bits(mask: int) -> Iterator[int]:
 class BWGraph:
     """Vertex colors plus symmetric irreflexive adjacency.
 
-    colors: bit v set means vertex v is black.  adj[v]: neighbor bitmask of v.
+    colors: bit v set means vertex v is black.  adj: a tuple, adj[v] the neighbor bitmask of v.
     The constructor raises ValueError on the lowest row that is asymmetric, self-looped
     or reaches past vertex n-1, found by comparing the rows' bit matrix with its transpose.
     """
@@ -52,7 +52,7 @@ class BWGraph:
 
     def __post_init__(self):
         n, adj = self.n, self.adj
-        if n < 0 or len(adj) != n or self.colors >> n:
+        if n < 0 or type(adj) is not tuple or len(adj) != n or self.colors >> n:
             raise ValueError("inconsistent graph fields")
         w = max(8, 1 << (n - 1).bit_length())  # to_bytes writes whole bytes
         swaps, diag = _transpose_masks(w)

@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Eight subcommands, one per capability: press, overlap, distance,
-enumerate, metagraph, verify-linear, verify-general, sample.  Exit codes:
-0 success or property verified, 1 property violated or counterexample
-found, 2 input or usage error, a --report or --dot file that cannot be
-written (after the output; a failed --dot writes no --report), or a graph
-past the enumeration cap (no sweep reaches it within its n bound).
+Eight subcommands, one per capability: press, overlap, distance, enumerate,
+metagraph, verify-linear, verify-general, sample.  Exit codes: 0 success or
+property verified, 1 property violated or counterexample found, 2 input or
+usage error, a --report or --dot file that cannot be written (after the output;
+a failed --dot writes no --report), a graph past the enumeration cap (no sweep
+reaches it within its n bound), or a sweep's failures past their path bound.
 
 Reports are built only under --report, as JSON with sorted keys so that
 reruns of a deterministic command diff cleanly; wall_time, the command's own
@@ -116,14 +116,13 @@ def _pathset_payload(ps: PathSet) -> dict:
 def _sweep_payload(r: SweepReport) -> dict:
     def stats_records():
         # a stats row is encoded into the bytes _encode gives its dict, with no dict built
-        threshold, color_str = r.threshold, {}
+        threshold, texts = r.threshold, []
         for g, tails in r.members:
+            if len(texts) != 1 << g.n:  # members come by n: one string per colour mask of n
+                texts = [BWGraph(g.n, c, g.adj).color_string() for c in range(1 << g.n)]
             mid = f'", "edges": {_encode(g.edges())}, "n": {g.n}}}, "min_threshold": '
-            for colors, tail in enumerate(tails):
+            for text, tail in zip(texts, tails):
                 if tail:
-                    text = color_str.get(key := colors | 1 << g.n)
-                    if text is None:
-                        text = color_str[key] = BWGraph(g.n, colors, g.adj).color_string()
                     count, min_k = tail
                     yield (f'{{"connected": {"true" if min_k <= threshold else "false"}, '
                            f'"graph": {{"colors": "{text}{mid}{min_k}, "path_count": {count}}}')

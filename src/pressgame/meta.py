@@ -16,7 +16,7 @@ paths one to one and keeps every LCS, so path count, min_threshold and
 solvability are class invariants.  Class keys come from the path's reversal
 or the S_n orbits of edge masks, each image a sum of itertools.compress over
 a permutation's image bits.  Failing members are verified again after the
-sweep, for witnesses in their own labels.
+sweep, for witnesses in their own labels, when those hold at most _EDGE_CAP paths.
 
 Edges are decided without comparing pairs.  Two paths of common length L
 have an LCS of at least L - k exactly when they share a subsequence of
@@ -40,7 +40,7 @@ from .bwgraph import BWGraph, _unchecked
 from .errors import EmptyPathSetError, UnsolvableError
 from .paths import DEFAULT_CAP, PathSet, PressingPath, enumerate_successful, format_path
 
-_EDGE_CAP = 10 * DEFAULT_CAP  # most keys, and most candidate pairs, build_metagraph makes
+_EDGE_CAP = 10 * DEFAULT_CAP  # most build_metagraph keys or pairs, most witness paths of a sweep
 
 
 def _check_gate(ps: PathSet, k: int) -> None:
@@ -192,8 +192,9 @@ def _sweep(label: str, topologies, n_max: int, threshold: int) -> SweepReport:
     once per n (exact, see the module docstring) on a graph with the rows of
     the edge set's from_parts graph, and seen keeps its tail.  Each failing
     member is verified once more after the sweep, for a witness in its own
-    labels.  No cap is caught: the callers' n bounds keep every instance
-    under the default cap, and a CapExceededError would end the sweep, loudly."""
+    labels, unless the failing tails' path counts sum past _EDGE_CAP: then
+    ValueError, before any witness is built.  No CapExceededError is caught:
+    the callers' n bounds keep every instance under the default cap."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     members = []
@@ -209,22 +210,25 @@ def _sweep(label: str, topologies, n_max: int, threshold: int) -> SweepReport:
                     except UnsolvableError:
                         seen[key] = ()
             members.append((g, tuple(map(seen.__getitem__, classes))))
+    paths = sum(tail[0] for _, tails in members for tail in tails if tail and tail[1] > threshold)
+    if paths > _EDGE_CAP:
+        raise ValueError(f"the failures hold {paths} witness paths, more than {_EDGE_CAP}")
     return SweepReport(
         family=f"{label}, n <= {n_max}",
         threshold=threshold,
         members=tuple(members),
         failures=tuple(verify_instance(_unchecked(g.n, colors, g.adj), threshold)
                        for g, tails in members for colors, tail in enumerate(tails)
-                       if tail and tail[1] > threshold),
+                       if tail and tail[1] > threshold) if paths else (),
     )
 
 
 def _edge_sets(n: int):
     """Every edge set on vertices 0..n-1, in ascending edge-mask order, with
-    the class keys of its colour masks.  An S_n orbit of edge masks has its
-    least mask R as representative; an image U = p(R) keeps the colour map of
-    p's inverse, which pulls a colouring of U back onto R, and the key of
-    (U, c) is R with the least image of that pullback under R's automorphisms."""
+    the class keys of its colour masks.  A mask in no S_n orbit mapped so far
+    is the least mask R of its own, whose orbit is mapped then: an image U = p(R)
+    keeps the colour map of p's inverse, pulling a colouring of U back onto R,
+    and the key of (U, c) is R with the least image of that pullback under R's automorphisms."""
     pairs = list(combinations(range(n), 2))
     bit = {pair: 1 << b for b, pair in enumerate(pairs)}
     perms = list(permutations(range(n)))
@@ -232,22 +236,19 @@ def _edge_sets(n: int):
     pulls = [[1 << u for u in sorted(range(n), key=p.__getitem__)] for p in perms]  # p(u) -> u
     colourings = [[c >> v & 1 for v in range(n)] for c in range(1 << n)]
     color_maps = [[sum(compress(pull, c)) for c in colourings] for pull in pulls]
-    orbit: dict[int, tuple[int, list[int]]] = {}  # mask -> (R, colour map onto R)
+    orbit: dict[int, tuple[int, list[int]]] = {}  # mask not yet yielded -> (R, colour map onto R)
     canon: dict[int, list[tuple[int, int]]] = {}  # R -> class key of each colour mask of R
-    for rep in range(1 << len(pairs)):
-        if rep in orbit:
-            continue
-        rep_bits = [rep >> b & 1 for b in range(len(pairs))]
-        autos = []
-        for bits, color_map in zip(edge_bits, color_maps):
-            image = sum(compress(bits, rep_bits))
-            if image == rep:
-                autos.append(color_map)
-            orbit.setdefault(image, (rep, color_map))
-        canon[rep] = [(rep, v) for v in map(min, zip(*autos))]
-    for mask, high_first in enumerate(product((0, 1), repeat=len(pairs))):
-        rep, color_map = orbit[mask]
-        yield list(compress(pairs, high_first[::-1])), list(map(canon[rep].__getitem__, color_map))
+    for mask, low_first in enumerate(t[::-1] for t in product((0, 1), repeat=len(pairs))):
+        if mask not in orbit:
+            autos = []
+            for bits, color_map in zip(edge_bits, color_maps):
+                image = sum(compress(bits, low_first))
+                if image == mask:
+                    autos.append(color_map)
+                orbit.setdefault(image, (mask, color_map))
+            canon[mask] = [(mask, v) for v in map(min, zip(*autos))]
+        rep, color_map = orbit.pop(mask)
+        yield list(compress(pairs, low_first)), list(map(canon[rep].__getitem__, color_map))
 
 
 def _path(n: int):
@@ -261,7 +262,8 @@ def verify_linear_family(n_max: int, threshold: int = 2) -> SweepReport:
     """Connectivity of every solvable linear graph's metagraph up to n_max.
     n_max above 11 is rejected before any graph is built: n = 12 has linear
     graphs of up to 1,760,000 successful paths, which would pass the
-    enumeration cap, after the minutes that n <= 11 takes."""
+    enumeration cap, after the minutes that n <= 11 takes.  Failures whose
+    witnesses hold more than _EDGE_CAP paths are refused (see _sweep)."""
     if n_max > 11:
         raise ValueError("n_max must be at most 11: n = 12 has linear graphs "
                          "of up to 1,760,000 successful paths")
@@ -273,7 +275,8 @@ def verify_general_family(n_max: int, threshold: int = 4) -> SweepReport:
     n_max above 6 is rejected before any graph is built: n = 7 alone has
     2^21 edge sets x 128 colourings, about 2.7e8 members, which no cap bounds.
     Up to n = 6 a path presses each vertex at most once, so no graph has
-    more than 6! = 720 paths, far under the enumeration cap."""
+    more than 6! = 720 paths, far under the enumeration cap.  At threshold 1 or 0
+    the n = 6 failures hold over _EDGE_CAP witness paths, so _sweep refuses them."""
     if n_max > 6:
         raise ValueError("n_max must be at most 6: n = 7 has 2^21 edge sets x 128 colourings")
     return _sweep("all labeled graphs", _edge_sets, n_max, threshold)

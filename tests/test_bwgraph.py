@@ -211,6 +211,7 @@ def test_constructor_rejects_broken_adjacency():
         (2, 0, (0,)),  # one row for two vertices
         (2, 0b100, (0, 0)),  # colour bit 2 outside 0..1
         (-1, 0, ()),
+        (3, 0b010, [2, 5, 2]),  # linear_graph("WBW")'s rows as a list, which no graph may hash
     ]:
         with pytest.raises(ValueError, match="^inconsistent graph fields$"):
             BWGraph(n, colors, adj)

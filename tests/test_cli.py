@@ -106,30 +106,58 @@ def test_overlap_of_a_700_element_permutation_in_a_fresh_process():
     assert done.stdout == format_graph(interval_overlap(build_dr(p)))
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("report", [False, True], ids=["stdout", "report"])
-def test_labelled_n_6_sweep_stays_small_in_a_fresh_process(tmp_path, report):
-    # the sweep keeps a graph per edge set and a class tail per colouring, not
-    # a row per member: 2,069,969 member rows would take about 200 MB.  The peak is
-    # the child's VmHWM (kB): Linux carries ru_maxrss over exec, so that would
-    # read at least the forking test process's own resident size
+def _main_in_a_fresh_process(*argv):
+    """(exit code, stdout lines, stderr, peak kB) of main(argv) in a fresh process.
+    The peak is the child's VmHWM: Linux carries ru_maxrss over exec, so that
+    would read at least the forking test process's own resident size."""
     src = Path(pressgame.__file__).parents[1]
     script = ("import sys; from pressgame.cli import main; code = main(sys.argv[1:]); "
               "print(code, *next(line.split()[1:2] for line in open('/proc/self/status') "
               "if line.startswith('VmHWM:')))")
-    argv = ["verify-general", "--n-max", "6", *(["--report", str(tmp_path / "r.json")] * report)]
     done = subprocess.run(
         [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert done.returncode == 0, done.stderr
-    head, *_, last = done.stdout.splitlines()
-    assert head == "PASS: 2069969 solvable instances at threshold 4 (all labeled graphs, n <= 6)"
+    *out, last = done.stdout.splitlines()
     code, peak_kib = map(int, last.split())
-    assert code == 0 and peak_kib < 120 * 1024, peak_kib
+    return code, out, done.stderr, peak_kib
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("report", [False, True], ids=["stdout", "report"])
+def test_labelled_n_6_sweep_stays_small_in_a_fresh_process(tmp_path, report):
+    # the sweep keeps a graph per edge set and a class tail per colouring, not
+    # a row per member: 2,069,969 member rows would take about 200 MB
+    argv = ["verify-general", "--n-max", "6", *(["--report", str(tmp_path / "r.json")] * report)]
+    code, out, err, peak_kib = _main_in_a_fresh_process(*argv)
+    assert out[0] == "PASS: 2069969 solvable instances at threshold 4 (all labeled graphs, n <= 6)"
+    assert code == 0 and peak_kib < 120 * 1024, (peak_kib, err)
     if report:  # line by line: the report is hundreds of MB
         with open(tmp_path / "r.json") as fh:
             assert '    "instances_checked": 2069969,\n' in fh
+
+
+@pytest.mark.slow
+def test_labelled_n_6_threshold_1_sweep_is_refused_in_a_fresh_process(tmp_path):
+    # its 1,503,963 failures would hold 41,369,136 witness paths, over 3.6 GB,
+    # so the sweep stops after its classes, before any witness is verified
+    report = tmp_path / "r.json"
+    code, out, err, peak_kib = _main_in_a_fresh_process(
+        "verify-general", "--n-max", "6", "--threshold", "1", "--report", str(report))
+    assert (code, out) == (2, [])
+    assert err == "error: the failures hold 41369136 witness paths, more than 10000000\n"
+    assert peak_kib < 120 * 1024 and not report.exists(), peak_kib
+
+
+def test_verify_refuses_failures_past_the_witness_path_bound(capsys, tmp_path, monkeypatch):
+    # the 141 failures of labelled n <= 4 at threshold 1 hold 576 witness paths
+    monkeypatch.setattr("pressgame.meta._EDGE_CAP", 575)
+    report = tmp_path / "r.json"
+    code, out, err = run(capsys, "verify-general", "--n-max", "4", "--threshold", "1",
+                         "--report", str(report))
+    assert (code, out, err) == (2, "", "error: the failures hold 576 witness paths, more than 575\n")
+    assert not report.exists()
 
 
 def test_enumerate_example(capsys):

@@ -1,6 +1,7 @@
 """LCS gate, metagraph connectivity, and the family sweeps."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -363,6 +364,41 @@ def test_edge_sets_match_the_bitwise_orbit_oracle(n):
     # the orbit images and colour maps summed from compress tables must give the
     # edge lists, class keys and order of the loop that tests each bit
     assert list(meta._edge_sets(n)) == list(orbit_edge_sets(n))
+
+
+def test_edge_sets_map_each_orbit_when_its_least_mask_comes_up():
+    # the first n = 6 edge set, mask 0, needs only its own orbit: the 155 others
+    # are not mapped yet (5.6 MB traced when all 156 were mapped before it)
+    tracemalloc.start()
+    try:
+        edge_sets = meta._edge_sets(6)
+        first = next(edge_sets)
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert first == ([], [(0, (1 << c.bit_count()) - 1) for c in range(64)])
+    assert traced < 2 * 1024 * 1024, traced
+
+
+def test_sweep_sums_its_witness_paths_before_verifying_any(monkeypatch):
+    # labelled n <= 4 at threshold 1 has 118 classes and 141 failures; their
+    # witnesses are verified only when their path counts sum to at most the bound
+    r = verify_general_family(4, 1)
+    total = sum(len(f.path_set.paths) for f in r.failures)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verify_instance(*args)
+
+    monkeypatch.setattr(meta, "verify_instance", counted)
+    monkeypatch.setattr(meta, "_EDGE_CAP", total)
+    assert verify_general_family(4, 1) == r and len(r.failures) == 141
+    calls.clear()
+    monkeypatch.setattr(meta, "_EDGE_CAP", total - 1)
+    with pytest.raises(ValueError, match=f"^the failures hold {total} witness paths, more than"):
+        verify_general_family(4, 1)
+    assert len(calls) == 118
 
 
 def test_sweeps_call_verify_instance_once_per_class(monkeypatch):
